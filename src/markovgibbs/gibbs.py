@@ -96,12 +96,16 @@ class PerronData:
     """Dominant eigendata of a non-negative matrix.
 
     ``left`` is normalized to sum 1 and ``right`` scaled so that
-    ``left @ right == 1``; both are entrywise positive.
+    ``left @ right == 1``; both are entrywise positive.  ``residual`` is the
+    larger achieved eigen-residual relative to the root (see :func:`perron`)
+    and ``gap`` is ``1 - |lambda_2| / root``.
     """
 
     root: float
     left: np.ndarray
     right: np.ndarray
+    residual: float
+    gap: float
 
 
 def weight_matrix(potential: Potential) -> np.ndarray:
@@ -113,60 +117,67 @@ def weight_matrix(potential: Potential) -> np.ndarray:
     return out
 
 
-def perron(matrix, *, residual_tol=1e-12, step_tol=1e-14, max_iter=1_000_000) -> PerronData:
-    """Perron root and positive left/right eigenvectors by power iteration.
+def _dominant(m: np.ndarray, tol: float):
+    """Dominant eigenpair of ``m`` (vector summing to 1) and the largest other modulus.
 
-    Iterates from the uniform vector with L1 renormalization, stopping once
-    successive iterates settle below ``step_tol`` and both eigen-residuals
-    fall below ``residual_tol`` relative to the root.  The iteration runs
-    on the diagonally shifted matrix ``M + sI`` with ``s`` the maximum row
-    sum: the shift leaves eigenvectors alone but separates the dominant
-    root from negative and complex eigenvalues, which otherwise stall the
-    iteration on matrices with a near ``+/-`` eigenvalue pair.  Root and
-    residuals are reported for the unshifted matrix.  Non-convergence
-    raises :class:`SolverError`.
+    ``np.linalg.eig`` alone can leave residuals above 1e-12 of the root on
+    strongly graded matrices, so one Newton step on the bordered system
+    ``[[m - root*I, -v], [1, 0]]`` polishes the pair.
+    """
+    values, vectors = np.linalg.eig(m)
+    k = int(np.argmax(values.real))
+    root = float(values[k].real)
+    others = np.delete(values, k)
+    if values[k].imag != 0 or root <= 0:
+        raise SolverError(f"dominant eigenvalue {values[k]} is not real and positive")
+    if (np.abs(others - root) <= tol * root).any():
+        raise SolverError(f"dominant eigenvalue {root} is not simple")
+    n = len(m)
+    vector = vectors[:, k].real / vectors[:, k].real.sum()
+    border = np.ones((n + 1, n + 1))
+    border[:n, :n] = m - root * np.eye(n)
+    border[:n, n] = -vector
+    border[n, n] = 0.0
+    step = np.linalg.solve(border, np.append(root * vector - m @ vector, 0.0))
+    vector += step[:n]
+    if not vector.min() > 0:
+        raise SolverError("eigenvectors are not strictly positive")
+    return root + float(step[n]), vector, float(np.abs(others).max(initial=0.0))
+
+
+def perron(matrix, *, residual_tol=1e-12) -> PerronData:
+    """Perron root, positive left/right eigenvectors, residual and gap.
+
+    One ``np.linalg.eig`` of ``M`` and one of ``M.T`` give the dominant
+    pairs, each polished by one Newton step; the root is the Rayleigh
+    quotient ``u @ M @ v / (u @ v)`` with ``u``, ``v`` the left and right
+    vectors scaled to sum 1.  The contract is checked: :class:`SolverError`
+    is raised when the eigenvalue of largest real part is not real,
+    positive and simple (no other eigenvalue within ``residual_tol *
+    root``), when the two solves' roots differ by more than ``residual_tol
+    * root``, when either vector is not strictly positive, or when
+    ``max|u @ M - root * u|`` or ``max|M @ v - root * v|`` exceeds
+    ``residual_tol * root``.  Reducible matrices fail one of these checks.
+    Non-square input, and negative or non-finite entries or an empty row or
+    column, raise :class:`PreconditionError`.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise PreconditionError("matrix must be square")
-    if (m < 0).any():
-        raise PreconditionError("matrix must be non-negative")
-    if (m.sum(axis=1) == 0).any() or (m.sum(axis=0) == 0).any():
-        raise PreconditionError("matrix must have no zero row or column")
-    n = m.shape[0]
-    shift = float(m.sum(axis=1).max())
-    work = m + shift * np.eye(n)
-    work_t = work.T
-    v = np.full(n, 1.0 / n)
-    u = np.full(n, 1.0 / n)
-    root = None
-    for _ in range(max_iter):
-        wv = work @ v
-        wu = work_t @ u
-        v_next = wv / wv.sum()
-        u_next = wu / wu.sum()
-        delta = max(np.abs(v_next - v).max(), np.abs(u_next - u).max())
-        v, u = v_next, u_next
-        if delta <= step_tol:
-            candidate = float(u @ (m @ v) / (u @ v))
-            if candidate <= 0:
-                raise SolverError("power iteration produced a non-positive root")
-            left_res = np.abs(u @ m - candidate * u).max()
-            right_res = np.abs(m @ v - candidate * v).max()
-            if left_res <= residual_tol * candidate and right_res <= residual_tol * candidate:
-                root = candidate
-                break
-    if root is None:
-        raise SolverError(
-            "power iteration did not converge; the support pattern may not be primitive"
-        )
-    if v.min() <= 0 or u.min() <= 0:
-        raise SolverError("eigenvectors are not strictly positive")
-    left = u / u.sum()
-    right = v / (left @ v)
-    left.setflags(write=False)
+    if not (np.isfinite(m).all() and (m >= 0).all() and m.sum(axis=0).all() and m.sum(axis=1).all()):
+        raise PreconditionError("matrix must be finite and non-negative with no zero row or column")
+    right_root, v, second = _dominant(m, residual_tol)
+    left_root, u, _ = _dominant(m.T, residual_tol)
+    if abs(left_root - right_root) > residual_tol * right_root:
+        raise SolverError(f"left and right eigensolves found roots {left_root} and {right_root}")
+    root = float(u @ m @ v / (u @ v))
+    residual = max(np.abs(u @ m - root * u).max(), np.abs(m @ v - root * v).max()) / root
+    if residual > residual_tol:
+        raise SolverError(f"eigen-residual {residual:.3g} exceeds {residual_tol:.3g} of the root")
+    right = v / (u @ v)
+    u.setflags(write=False)
     right.setflags(write=False)
-    return PerronData(root, left, right)
+    return PerronData(root, u, right, float(residual), 1.0 - second / root)
 
 
 class GibbsChain:

@@ -39,7 +39,7 @@ class TransitionMatrix:
     """A zero-one transition matrix with every row and column occupied.
 
     The matrix is immutable after construction; combinatorial byproducts
-    (edge lists, word tables, primitivity) are cached lazily on the
+    (edge lists, word tables, primitivity, entropy) are cached lazily on the
     instance.
     """
 
@@ -58,6 +58,7 @@ class TransitionMatrix:
         self.n = int(a.shape[0])
         self._primitive = None
         self._structure = None
+        self._entropy = None
         self._succ = None
         self._cycles = None
         self._words = {}

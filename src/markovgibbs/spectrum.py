@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,10 +37,11 @@ __all__ = [
 DEFAULT_Q_GRID = tuple(np.linspace(-3.0, 3.0, 25))
 
 
-@lru_cache(maxsize=None)
 def topological_entropy(matrix: TransitionMatrix) -> float:
-    """Log of the Perron root of the zero-one matrix."""
-    return math.log(perron(matrix.entries).root)
+    """Log of the Perron root of the zero-one matrix, cached on the matrix."""
+    if matrix._entropy is None:
+        matrix._entropy = math.log(perron(matrix.entries).root)
+    return matrix._entropy
 
 
 def q_power(chain: GibbsChain, q: float) -> np.ndarray:
@@ -146,37 +146,23 @@ def spectrum_curve(chain: GibbsChain, q_min: float, q_max: float, steps: int) ->
 def char_poly(matrix) -> list:
     """Coefficients of ``det(zI - M)``, monic, highest power first.
 
-    Runs the trace recursion of Faddeev and LeVerrier; with
-    :class:`~fractions.Fraction` (or integer) entries the coefficients come
-    out exact, otherwise in floating point.
+    Runs the Faddeev-LeVerrier recursion ``W_k = M @ (W_{k-1} + c_{k-1} I)``,
+    ``c_k = -trace(W_k) / k`` from ``W_0 = 0``, ``c_0 = 1`` on one numpy
+    array: ``dtype=object`` holding exact Fractions when every entry is a
+    :class:`~fractions.Fraction` or a Python ``int``, else ``float64``.
     """
-    m = [list(row) for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
+    numeric = isinstance(matrix, np.ndarray) and matrix.dtype != object
+    m = np.array(matrix, dtype=float if numeric else object)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise PreconditionError("matrix must be square")
-    exact = all(isinstance(x, (Fraction, int)) and not isinstance(x, bool) for row in m for x in row)
-    if exact:
-        m = [[Fraction(x) for x in row] for row in m]
-        zero, one = Fraction(0), Fraction(1)
-    else:
-        m = [[float(x) for x in row] for row in m]
-        zero, one = 0.0, 1.0
-    coeffs = [one]
-    work = [row[:] for row in m]
-    for k in range(1, n + 1):
-        trace = sum(work[i][i] for i in range(n))
-        ck = -trace / k  # Fraction division stays exact
-        coeffs.append(ck)
-        if k < n:
-            shifted = [
-                [work[i][j] + (ck if i == j else zero) for j in range(n)]
-                for i in range(n)
-            ]
-            work = [
-                [sum(m[i][l] * shifted[l][j] for l in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-    return coeffs
+    exact = not numeric and all(isinstance(x, (Fraction, int)) and not isinstance(x, bool) for x in m.flat)
+    m = np.vectorize(Fraction, otypes=[object])(m) if exact else m.astype(float)
+    eye = np.eye(len(m), dtype=m.dtype)
+    coeffs, work = [Fraction(1) if exact else 1.0], np.zeros_like(m)
+    for k in range(1, len(m) + 1):
+        work = m @ (work + coeffs[-1] * eye)
+        coeffs.append(-work.trace() / k)
+    return np.array(coeffs, dtype=m.dtype).tolist()
 
 
 def _signed_cycle_profile(chain: GibbsChain) -> dict:

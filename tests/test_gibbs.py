@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -88,9 +89,29 @@ class TestPerron:
             assert data.left.sum() == pytest.approx(1.0, abs=1e-12)
             assert data.left @ data.right == pytest.approx(1.0, abs=1e-12)
 
+    def test_graded_matrix_meets_residual_contract(self):
+        # q = 3 power of a random n = 6 chain, entries from 1e-8 to 1: the
+        # left eigenvector read straight from np.linalg.eig has a residual of
+        # about 2e-12 of the root here, above the 1e-12 contract
+        m = np.array(
+            [
+                [0.0, 0.0008172741461702368, 0.0, 0.6975092908702478, 0.0, 0.002846689859113479],
+                [0.0, 0.0, 0.0, 0.0, 8.856438936220983e-05, 0.0],
+                [0.0, 0.0, 0.0, 0.001448664125957086, 1.250629641013992e-08, 0.0],
+                [0.0, 1.7057756322498014e-06, 1.0, 0.0, 4.3112798934481494e-08, 1.2231152375397232e-04],
+                [0.0, 0.45514268099711264, 0.0, 0.0, 0.8562866876997051, 0.5287607223543509],
+                [1.0, 0.0019690551983584737, 0.0, 0.0, 0.0, 0.0],
+            ]
+        )
+        data = perron(m)
+        u, v = data.left, data.right / data.right.sum()
+        assert np.abs(u @ m - data.root * u).max() <= 1e-12 * data.root
+        assert np.abs(m @ v - data.root * v).max() <= 1e-12 * data.root
+        assert data.residual <= 1e-12
+
     def test_periodic_matrix_still_resolves_spectral_radius(self):
-        # eigenvalues +-sqrt(2); the diagonal shift keeps the iteration from
-        # oscillating and the positive eigenpair comes out correctly
+        # eigenvalues +-sqrt(2); the dominant root is taken by largest real
+        # part, not modulus, so the positive eigenpair comes out correctly
         data = perron([[0.0, 2.0], [1.0, 0.0]])
         assert data.root == pytest.approx(math.sqrt(2), abs=1e-12)
 
@@ -100,9 +121,29 @@ class TestPerron:
         with pytest.raises(PreconditionError):
             perron([[1.0, 0.0], [1.0, 0.0]])
 
-    def test_iteration_budget_exhaustion_raises(self, golden_mean):
-        with pytest.raises(SolverError):
-            perron(golden_mean.entries.astype(float), max_iter=2)
+    @pytest.mark.parametrize(
+        "matrix, reason",
+        [
+            ([[1.0, 1.0], [0.0, 1.0]], "not simple"),
+            ([[2.0, 0.0], [0.0, 1.0]], "not strictly positive"),
+            ([[1.0, 0.0], [0.0, 1.0]], "not simple"),
+        ],
+        ids=["jordan_block", "reducible_diagonal", "identity"],
+    )
+    def test_reducible_matrices_raise_fast(self, matrix, reason):
+        start = time.perf_counter()
+        with pytest.raises(SolverError, match=reason):
+            perron(matrix)
+        assert time.perf_counter() - start < 0.5
+
+    def test_diagnostics(self, full2, golden_mean):
+        assert perron(full2.entries).gap == pytest.approx(1.0, abs=1e-12)
+        golden = perron(golden_mean.entries)
+        phi = (1 + math.sqrt(5)) / 2
+        assert golden.gap == pytest.approx(1 - 1 / phi**2, abs=1e-12)
+        assert 0 <= golden.residual <= 1e-12
+        assert perron([[0.0, 2.0], [1.0, 0.0]]).gap == pytest.approx(0.0, abs=1e-12)
+        assert perron([[3.0]]).gap == 1.0
 
 
 class TestNormalize:

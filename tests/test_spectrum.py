@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +10,12 @@ from markovgibbs import (
     GibbsChain,
     Potential,
     PreconditionError,
+    TransitionMatrix,
     char_poly,
     char_poly_family_equal,
     ks_entropy,
     normalize,
+    perron,
     pressure,
     pressure_derivative,
     q_power,
@@ -21,7 +25,7 @@ from markovgibbs import (
     topological_entropy,
 )
 
-from conftest import FIXTURE_VALUES
+from conftest import FIXTURE_VALUES, random_chain, random_primitive_matrix
 
 
 @pytest.fixture
@@ -60,6 +64,20 @@ class TestPressure:
             assert pressure(uniform_full2, q) == pytest.approx(
                 (1 - q) * math.log(2), abs=1e-12
             )
+
+
+class TestTopologicalEntropy:
+    def test_value_is_not_held_past_the_matrix(self):
+        # the value is cached on the matrix itself, so no process-wide cache
+        # keeps a matrix alive after its last use
+        matrix = TransitionMatrix([[0, 1], [1, 1]])
+        golden = math.log((1 + math.sqrt(5)) / 2)
+        assert topological_entropy(matrix) == pytest.approx(golden, abs=1e-14)
+        assert topological_entropy(matrix) == topological_entropy(matrix)
+        ref = weakref.ref(matrix)
+        del matrix
+        gc.collect()
+        assert ref() is None
 
 
 class TestPressureDerivative:
@@ -206,16 +224,9 @@ class TestCharPolyFamilyEqual:
         # so the characteristic polynomial of the powered matrix is exact; the
         # coefficient functions here have few enough terms that disagreement
         # anywhere forces disagreement at some integer in [-3, 3]
-        def exact_power(chain, q):
-            n = chain.n
-            grid = [[Fraction(0)] * n for _ in range(n)]
-            for (i, j), v in chain.exact.items():
-                grid[i - 1][j - 1] = v ** q
-            return grid
-
         def exact_grid_equal(ca, cb):
             return all(
-                char_poly(exact_power(ca, q)) == char_poly(exact_power(cb, q))
+                char_poly(_exact_power(ca, q)) == char_poly(_exact_power(cb, q))
                 for q in range(-3, 4)
             )
 
@@ -250,3 +261,84 @@ class TestCharPolyFamilyEqual:
             other = GibbsChain.from_stochastic(four_matrix, shuffled)
             equal, _ = char_poly_family_equal(chain, other)
             assert equal == exact_grid_equal(chain, other) == False  # noqa: E712
+
+
+def _exact_power(chain, q):
+    grid = [[Fraction(0)] * chain.n for _ in range(chain.n)]
+    for (i, j), v in chain.exact.items():
+        grid[i - 1][j - 1] = v**q
+    return grid
+
+
+def _char_poly_by_lists(matrix, number=Fraction):
+    """Reference: the same recursion on lists of ``number``, one entry at a time."""
+    m = [[number(x) for x in row] for row in matrix]
+    n = len(m)
+    coeffs = [number(1)]
+    work = [row[:] for row in m]
+    for k in range(1, n + 1):
+        ck = -sum(work[i][i] for i in range(n)) / k
+        coeffs.append(ck)
+        shifted = [[work[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
+        work = [
+            [sum(m[i][l] * shifted[l][j] for l in range(n)) for j in range(n)] for i in range(n)
+        ]
+    return coeffs
+
+
+class TestGeneratedFamilies:
+    """Oracles over q-powered chains on random primitive bases (seeded rng)."""
+
+    @pytest.mark.parametrize("n", (4, 6, 8, 12, 16))
+    def test_perron_contract_along_the_family(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(8):
+            chain = random_chain(rng, random_primitive_matrix(rng, n))
+            for q in (-3.0, 0.0, 1.0, 3.0):
+                m = q_power(chain, q)
+                data = perron(m)
+                u, v = data.left, data.right / data.right.sum()
+                assert u.min() > 0 and v.min() > 0
+                assert u.sum() == pytest.approx(1.0, abs=1e-12)
+                assert u @ data.right == pytest.approx(1.0, abs=1e-12)
+                left_res = np.abs(u @ m - data.root * u).max()
+                right_res = np.abs(m @ v - data.root * v).max()
+                assert max(left_res, right_res) <= 1e-12 * data.root
+                assert 0 <= data.residual <= 1e-12
+                # primitive: the root strictly dominates the rest of the spectrum
+                moduli = np.sort(np.abs(np.linalg.eigvals(m)))
+                assert data.root == pytest.approx(moduli[-1], rel=1e-10)
+                assert data.gap == pytest.approx(1 - moduli[-2] / moduli[-1], abs=1e-8)
+                assert data.gap > 0
+            assert abs(pressure(chain, 1.0)) <= 1e-12
+            h_top = math.log(np.abs(np.linalg.eigvals(chain.base.entries.astype(float))).max())
+            assert pressure(chain, 0.0) == pytest.approx(h_top, abs=1e-12)
+            assert topological_entropy(chain.base) == pytest.approx(h_top, abs=1e-12)
+
+    @pytest.mark.parametrize("n", (2, 4, 6, 8))
+    def test_float_char_poly_matches_oracles(self, n):
+        # deviation relative to the largest coefficient; at q = -3 the
+        # entries span up to ~1e9 and every route loses digits, up to ~1e-9
+        rng = np.random.default_rng(200 + n)
+        for _ in range(10):
+            chain = random_chain(rng, random_primitive_matrix(rng, n))
+            for q in (-3.0, 0.0, 1.0, 3.0):
+                m = q_power(chain, q)
+                coeffs = char_poly(m)
+                assert all(type(c) is float for c in coeffs)
+                ours = np.array(coeffs)
+                by_eigenvalues = np.poly(np.linalg.eigvals(m)).real
+                for oracle in (by_eigenvalues, np.array(_char_poly_by_lists(m, float))):
+                    scale = max(1.0, np.abs(ours).max(), np.abs(oracle).max())
+                    assert np.abs(ours - oracle).max() <= 1e-8 * scale
+
+    def test_exact_char_poly_matches_list_recursion(self, four_matrix):
+        exact_values = {e: Fraction(str(v)) for e, v in FIXTURE_VALUES.items()}
+        chain = GibbsChain.from_stochastic(four_matrix, exact_values)
+        matrices = [[[int(x) for x in row] for row in four_matrix.entries]]
+        for c in (chain, spectral_twin_chain(chain)):
+            matrices += [_exact_power(c, q) for q in range(-3, 4)]
+        for matrix in matrices:
+            coeffs = char_poly(matrix)
+            assert coeffs == _char_poly_by_lists(matrix)
+            assert all(type(c) is Fraction for c in coeffs)
