@@ -24,6 +24,8 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .errors import PreconditionError, SolverError
 from .gibbs import (
@@ -53,6 +55,7 @@ from .shiftcore import (
     total_amalgamation,
 )
 from .spectrum import char_poly_family_equal, spectrum_curve
+from .tolerances import CHAR_POLY_TOL
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -97,17 +100,12 @@ def _dumps(value) -> str:
         return "{" + items + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_dumps(v) for v in value) + "]"
-    try:
-        import numpy as np
-
-        if isinstance(value, np.ndarray):
-            return _dumps(value.tolist())
-        if isinstance(value, np.integer):
-            return str(int(value))
-        if isinstance(value, np.floating):
-            return _format_float(float(value))
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(value, np.ndarray):
+        return _dumps(value.tolist())
+    if isinstance(value, np.integer):
+        return str(int(value))
+    if isinstance(value, np.floating):
+        return _format_float(float(value))
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
@@ -477,8 +475,7 @@ def _cmd_rigidity_counterexample(args):
 
 def _cmd_rigidity_certificate(args):
     problem = load_problem(args.input)
-    chain = _require_chain(problem)
-    cert = snr_certificate(chain)
+    cert = snr_certificate(_require_chain(problem))
     details = cert.details
     doc = {
         "command": "rigidity certificate",
@@ -492,7 +489,7 @@ def _cmd_rigidity_certificate(args):
             "missing_from_g": list(details["missing_from_g"]),
             "missing_from_f": list(details["missing_from_f"]),
         },
-        "twin_potential": _chain_potential_doc(spectral_twin_chain(chain)),
+        "twin_potential": _chain_potential_doc(cert.twin),
         "mode": details["mode"],
         "tolerances": dict(details["tolerances"]),
         "tool_version": __version__,
@@ -549,7 +546,7 @@ def _build_parser() -> argparse.ArgumentParser:
         spectrum,
         "compare",
         _cmd_spectrum_compare,
-        [("--other", {"required": True}), ("--tol", {"type": float, "default": 1e-10})],
+        [("--other", {"required": True}), ("--tol", {"type": float, "default": CHAR_POLY_TOL})],
     )
 
     rigidity = _parser_group(groups, "rigidity")
@@ -570,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
         rigidity,
         "certificate",
         _cmd_rigidity_certificate,
-        [("--seed", {"type": int, "default": 0})],
+        [("--seed", {"type": int, "default": 0, "help": "echoed into the output; the certificate ignores it"})],
     )
     return parser
 

@@ -28,6 +28,7 @@ from .shiftcore import (
     simple_cycles,
     structure,
 )
+from .tolerances import COLUMN_SUM_TOL, CYCLE_SUM_TOL, RESIDUAL_TOL
 
 __all__ = [
     "Potential",
@@ -117,12 +118,12 @@ def weight_matrix(potential: Potential) -> np.ndarray:
     return out
 
 
-def _dominant(m: np.ndarray, tol: float):
+def _dominant(m: np.ndarray):
     """Dominant eigenpair of ``m`` (vector summing to 1) and the largest other modulus.
 
-    ``np.linalg.eig`` alone can leave residuals above 1e-12 of the root on
-    strongly graded matrices, so one Newton step on the bordered system
-    ``[[m - root*I, -v], [1, 0]]`` polishes the pair.
+    ``np.linalg.eig`` alone can leave residuals above ``RESIDUAL_TOL`` of the
+    root on strongly graded matrices, so one Newton step on the bordered
+    system ``[[m - root*I, -v], [1, 0]]`` polishes the pair.
     """
     values, vectors = np.linalg.eig(m)
     k = int(np.argmax(values.real))
@@ -130,7 +131,7 @@ def _dominant(m: np.ndarray, tol: float):
     others = np.delete(values, k)
     if values[k].imag != 0 or root <= 0:
         raise SolverError(f"dominant eigenvalue {values[k]} is not real and positive")
-    if (np.abs(others - root) <= tol * root).any():
+    if (np.abs(others - root) <= RESIDUAL_TOL * root).any():
         raise SolverError(f"dominant eigenvalue {root} is not simple")
     n = len(m)
     vector = vectors[:, k].real / vectors[:, k].real.sum()
@@ -145,7 +146,7 @@ def _dominant(m: np.ndarray, tol: float):
     return root + float(step[n]), vector, float(np.abs(others).max(initial=0.0))
 
 
-def perron(matrix, *, residual_tol=1e-12) -> PerronData:
+def perron(matrix) -> PerronData:
     """Perron root, positive left/right eigenvectors, residual and gap.
 
     One ``np.linalg.eig`` of ``M`` and one of ``M.T`` give the dominant
@@ -153,11 +154,11 @@ def perron(matrix, *, residual_tol=1e-12) -> PerronData:
     quotient ``u @ M @ v / (u @ v)`` with ``u``, ``v`` the left and right
     vectors scaled to sum 1.  The contract is checked: :class:`SolverError`
     is raised when the eigenvalue of largest real part is not real,
-    positive and simple (no other eigenvalue within ``residual_tol *
-    root``), when the two solves' roots differ by more than ``residual_tol
+    positive and simple (no other eigenvalue within ``RESIDUAL_TOL *
+    root``), when the two solves' roots differ by more than ``RESIDUAL_TOL
     * root``, when either vector is not strictly positive, or when
     ``max|u @ M - root * u|`` or ``max|M @ v - root * v|`` exceeds
-    ``residual_tol * root``.  Reducible matrices fail one of these checks.
+    ``RESIDUAL_TOL * root``.  Reducible matrices fail one of these checks.
     Non-square input, and negative or non-finite entries or an empty row or
     column, raise :class:`PreconditionError`.
     """
@@ -166,14 +167,14 @@ def perron(matrix, *, residual_tol=1e-12) -> PerronData:
         raise PreconditionError("matrix must be square")
     if not (np.isfinite(m).all() and (m >= 0).all() and m.sum(axis=0).all() and m.sum(axis=1).all()):
         raise PreconditionError("matrix must be finite and non-negative with no zero row or column")
-    right_root, v, second = _dominant(m, residual_tol)
-    left_root, u, _ = _dominant(m.T, residual_tol)
-    if abs(left_root - right_root) > residual_tol * right_root:
+    right_root, v, second = _dominant(m)
+    left_root, u, _ = _dominant(m.T)
+    if abs(left_root - right_root) > RESIDUAL_TOL * right_root:
         raise SolverError(f"left and right eigensolves found roots {left_root} and {right_root}")
     root = float(u @ m @ v / (u @ v))
     residual = max(np.abs(u @ m - root * u).max(), np.abs(m @ v - root * v).max()) / root
-    if residual > residual_tol:
-        raise SolverError(f"eigen-residual {residual:.3g} exceeds {residual_tol:.3g} of the root")
+    if residual > RESIDUAL_TOL:
+        raise SolverError(f"eigen-residual {residual:.3g} exceeds {RESIDUAL_TOL:.3g} of the root")
     right = v / (u @ v)
     u.setflags(write=False)
     right.setflags(write=False)
@@ -201,7 +202,7 @@ class GibbsChain:
             raise PreconditionError("stochastic matrix must vanish off the edges")
         if (q[mask] <= 0).any() or (q[mask] > 1).any():
             raise PreconditionError("edge entries must lie in (0, 1]")
-        if np.abs(q.sum(axis=0) - 1.0).max() > 1e-9:
+        if np.abs(q.sum(axis=0) - 1.0).max() > COLUMN_SUM_TOL:
             raise PreconditionError("columns must sum to 1")
         if pi.shape != (base.n,) or pi.min() <= 0:
             raise PreconditionError("stationary vector must be positive")
@@ -219,8 +220,8 @@ class GibbsChain:
         ``entries`` maps edges to values.  If every value is rational
         (:class:`~fractions.Fraction` or int), column sums must equal 1
         exactly and the exact entries are retained; float input is accepted
-        with column sums within 1e-9 of 1 and rescaled to machine-exact
-        stochasticity.
+        with column sums within ``COLUMN_SUM_TOL`` of 1 and rescaled to
+        machine-exact stochasticity.
         """
         require_primitive(base)
         vals = {(int(i), int(j)): v for (i, j), v in dict(entries).items()}
@@ -245,8 +246,8 @@ class GibbsChain:
             for (i, j), v in vals.items():
                 q[i - 1, j - 1] = float(v)
             sums = q.sum(axis=0)
-            if np.abs(sums - 1.0).max() > 1e-9:
-                raise PreconditionError("columns must sum to 1 within 1e-9")
+            if np.abs(sums - 1.0).max() > COLUMN_SUM_TOL:
+                raise PreconditionError(f"columns must sum to 1 within {COLUMN_SUM_TOL:.3g}")
             q = q / sums
         pi = _stationary(q)
         return cls(base, q, pi, exact)
@@ -293,8 +294,8 @@ def _stationary(q: np.ndarray) -> np.ndarray:
     pi = pi / pi.sum()
     if pi.min() <= 0:
         raise SolverError("stationary vector is not strictly positive")
-    if np.abs(q @ pi - pi).max() > 1e-12:
-        raise SolverError("stationary vector residual exceeds 1e-12")
+    if np.abs(q @ pi - pi).max() > RESIDUAL_TOL:
+        raise SolverError(f"stationary vector residual exceeds {RESIDUAL_TOL:.3g}")
     return pi
 
 
@@ -399,7 +400,7 @@ def cycle_sum(chain: GibbsChain, cycle) -> float:
     return float(sum(math.log(chain.q[i - 1, j - 1]) for i, j in zip(w, w[1:])))
 
 
-def chains_cohomologous(chain_a: GibbsChain, chain_b: GibbsChain, tol: float = 1e-10):
+def chains_cohomologous(chain_a: GibbsChain, chain_b: GibbsChain):
     """Compare cycle sums of two chains over every simple cycle.
 
     Two potentials differ by a coboundary plus a constant exactly when
@@ -417,19 +418,19 @@ def chains_cohomologous(chain_a: GibbsChain, chain_b: GibbsChain, tol: float = 1
             prod_b = math.prod((chain_b.exact[(i, j)] for i, j in zip(cycle, cycle[1:])), start=Fraction(1))
             if prod_a != prod_b:
                 return False, cycle
-        elif abs(cycle_sum(chain_a, cycle) - cycle_sum(chain_b, cycle)) > tol:
+        elif abs(cycle_sum(chain_a, cycle) - cycle_sum(chain_b, cycle)) > CYCLE_SUM_TOL:
             return False, cycle
     return True, None
 
 
-def cohomologous_with_constant(f: Potential, g: Potential, tol: float = 1e-10):
+def cohomologous_with_constant(f: Potential, g: Potential):
     """Whether two potentials differ by a coboundary plus a constant.
 
     Returns ``(True, None)`` when all simple-cycle sums of the normalized
-    potentials agree within ``tol``, else ``(False, witness_cycle)``.
+    potentials agree within ``CYCLE_SUM_TOL``, else ``(False, witness_cycle)``.
     """
     if f.base != g.base:
         raise PreconditionError("potentials must share the base matrix")
     chain_f, _ = normalize(f)
     chain_g, _ = normalize(g)
-    return chains_cohomologous(chain_f, chain_g, tol)
+    return chains_cohomologous(chain_f, chain_g)

@@ -25,6 +25,7 @@ from .errors import (
 from .gibbs import GibbsChain, Potential, chains_cohomologous, normalize
 from .shiftcore import TransitionMatrix, admissible_words, automorphisms
 from .spectrum import char_poly_family_equal
+from .tolerances import CHAR_POLY_TOL, CYCLE_SUM_TOL, VALUE_MATCH_TOL
 
 __all__ = [
     "BlockCode",
@@ -41,17 +42,13 @@ __all__ = [
     "snr_certificate",
 ]
 
-# Relative tolerance used everywhere two chain entries are compared; exact
-# chains compare their Fraction entries instead.
-VALUE_MATCH_TOL = 1e-9
+
+def _close(x: float, y: float) -> bool:
+    return abs(x - y) <= VALUE_MATCH_TOL * max(abs(x), abs(y))
 
 
-def _close(x: float, y: float, tol: float) -> bool:
-    return abs(x - y) <= tol * max(abs(x), abs(y))
-
-
-def _is_one(x: float, tol: float) -> bool:
-    return abs(x - 1.0) <= tol
+def _is_one(x: float) -> bool:
+    return abs(x - 1.0) <= VALUE_MATCH_TOL
 
 
 def _branch_items(chain: GibbsChain) -> list:
@@ -66,7 +63,7 @@ def _branch_items(chain: GibbsChain) -> list:
     return [(e, chain.value(*e)) for e in edges]
 
 
-def has_distinct_branch_values(chain: GibbsChain, tol: float = VALUE_MATCH_TOL):
+def has_distinct_branch_values(chain: GibbsChain):
     """Whether the chain's branch-edge values are pairwise distinct.
 
     Returns ``(True, None)`` or ``(False, (edge, edge))`` with the first
@@ -77,7 +74,7 @@ def has_distinct_branch_values(chain: GibbsChain, tol: float = VALUE_MATCH_TOL):
     exact = chain.exact is not None
     for b in range(len(items)):  # report the first edge duplicating an earlier one
         for a in range(b):
-            same = items[a][1] == items[b][1] if exact else _close(items[a][1], items[b][1], tol)
+            same = items[a][1] == items[b][1] if exact else _close(items[a][1], items[b][1])
             if same:
                 return False, (items[a][0], items[b][0])
     return True, None
@@ -104,7 +101,46 @@ def sampled_distinct_fraction(matrix: TransitionMatrix, n_samples: int, seed: in
     return hits / n_samples
 
 
-def reconstruct_word(chain: GibbsChain, values, tol: float = VALUE_MATCH_TOL) -> tuple:
+def _lookup(items, v: float) -> tuple:
+    """The one branch edge whose value matches ``v``."""
+    matches = [e for e, bv in items if _close(v, bv)]
+    if len(matches) > 1:
+        raise ReconstructionError("not_in_G", f"value {v} matches several branch edges")
+    if not matches:
+        raise ReconstructionError("no_match", f"value {v} matches no branch edge")
+    return matches[0]
+
+
+def _walk_back(chain: GibbsChain, items, vals) -> tuple:
+    """The word of ``chain`` reading ``vals``, decoded from its last edge backwards.
+
+    ``items`` are the chain's (branch edge, float value) pairs and
+    ``vals[-1]`` must be a branch value.  Each earlier symbol is forced
+    either by another branch lookup or, when the value is 1, by the unique
+    predecessor; any other case raises :class:`ReconstructionError`.
+    """
+    edge = _lookup(items, vals[-1])
+    reverse = [edge[1], edge[0]]
+    for v in reversed(vals[:-1]):
+        current = reverse[-1]
+        if _is_one(v):
+            preds = chain.base.predecessors(current)
+            if len(preds) != 1:
+                raise ReconstructionError(
+                    "no_match", f"value 1 enters symbol {current}, which has several predecessors"
+                )
+            reverse.append(preds[0])
+        else:
+            edge = _lookup(items, v)
+            if edge[1] != current:
+                raise ReconstructionError(
+                    "no_match", f"value {v} belongs to edge {edge}, which does not enter {current}"
+                )
+            reverse.append(edge[0])
+    return tuple(reversed(reverse))
+
+
+def reconstruct_word(chain: GibbsChain, values) -> tuple:
     """Decode a stream of chain entries back into the unique word reading it.
 
     ``values[k]`` must equal the chain entry on the word's k-th edge, and
@@ -117,45 +153,14 @@ def reconstruct_word(chain: GibbsChain, values, tol: float = VALUE_MATCH_TOL) ->
     vals = [float(v) for v in values]
     if not vals:
         raise PreconditionError("value stream must be non-empty")
-    ok, collision = has_distinct_branch_values(chain, tol)
+    ok, collision = has_distinct_branch_values(chain)
     if not ok:
         raise ReconstructionError(
             "not_in_G", f"branch values collide on {collision[0]} and {collision[1]}"
         )
-    items = [(e, float(v)) for e, v in _branch_items(chain)]
-
-    def lookup(v):
-        matches = [e for e, bv in items if _close(v, bv, tol)]
-        if len(matches) > 1:
-            raise ReconstructionError("not_in_G", f"value {v} matches several branch edges")
-        return matches[0] if matches else None
-
-    if _is_one(vals[-1], tol):
+    if _is_one(vals[-1]):
         raise ReconstructionError("bad_terminal", "final value equals 1; the word must end at a branch symbol")
-    edge = lookup(vals[-1])
-    if edge is None:
-        raise ReconstructionError("no_match", f"value {vals[-1]} matches no branch edge")
-    word = [edge[0], edge[1]]
-    for k in range(len(vals) - 2, -1, -1):
-        current = word[0]
-        v = vals[k]
-        if _is_one(v, tol):
-            preds = chain.base.predecessors(current)
-            if len(preds) != 1:
-                raise ReconstructionError(
-                    "no_match", f"value 1 enters symbol {current}, which has several predecessors"
-                )
-            word.insert(0, preds[0])
-        else:
-            edge = lookup(v)
-            if edge is None:
-                raise ReconstructionError("no_match", f"value {v} matches no branch edge")
-            if edge[1] != current:
-                raise ReconstructionError(
-                    "no_match", f"value {v} belongs to edge {edge}, which does not enter {current}"
-                )
-            word.insert(0, edge[0])
-    return tuple(word)
+    return _walk_back(chain, [(e, float(v)) for e, v in _branch_items(chain)], vals)
 
 
 @dataclass(frozen=True)
@@ -196,7 +201,7 @@ class ConjugacyObstruction:
     detail: str = ""
 
 
-def _branch_value_sets_match(chain_a: GibbsChain, chain_b: GibbsChain, tol: float):
+def _branch_value_sets_match(chain_a: GibbsChain, chain_b: GibbsChain):
     """Compare branch values as sets; returns (match, missing_from_b, missing_from_a)."""
     exact = chain_a.exact is not None and chain_b.exact is not None
     vals_a = [v for _, v in _branch_items(chain_a)]
@@ -208,53 +213,30 @@ def _branch_value_sets_match(chain_a: GibbsChain, chain_b: GibbsChain, tol: floa
         return (not missing_a and not missing_b), missing_b, missing_a
     fa = [float(v) for v in vals_a]
     fb = [float(v) for v in vals_b]
-    missing_b = tuple(sorted({v for v in fa if not any(_close(v, w, tol) for w in fb)}))
-    missing_a = tuple(sorted({w for w in fb if not any(_close(w, v, tol) for v in fa)}))
+    missing_b = tuple(sorted({v for v in fa if not any(_close(v, w) for w in fb)}))
+    missing_a = tuple(sorted({w for w in fb if not any(_close(w, v) for v in fa)}))
     return (not missing_a and not missing_b), missing_b, missing_a
 
 
-def _forced_first_symbol(stream, target: GibbsChain, items, tol: float):
-    """First symbol of the target word reading the given value stream.
+def _build_code(source: GibbsChain, target: GibbsChain):
+    """Sliding code induced by matching entry values, or None on failure.
 
-    Scans for the first value inside (0, 1), resolves that edge among the
-    target's branch edges, then walks back to position 0 as in
-    :func:`reconstruct_word`.  Returns None when the stream admits no
-    consistent target word.
+    Each source window word maps to the first symbol of the target word
+    that reads its value stream up to the first value other than 1.
     """
-    first = next((k for k, v in enumerate(stream) if not _is_one(v, tol)), None)
-    if first is None:
-        return None
-    matches = [e for e, bv in items if _close(stream[first], bv, tol)]
-    if len(matches) != 1:
-        return None
-    current = matches[0][0]
-    for k in range(first - 1, -1, -1):
-        v = stream[k]
-        if _is_one(v, tol):
-            preds = target.base.predecessors(current)
-            if len(preds) != 1:
-                return None
-            current = preds[0]
-        else:
-            found = [e for e, bv in items if _close(v, bv, tol)]
-            if len(found) != 1 or found[0][1] != current:
-                return None
-            current = found[0][0]
-    return current
-
-
-def _build_code(source: GibbsChain, target: GibbsChain, tol: float):
-    """Sliding code induced by matching entry values, or None on failure."""
     window = source.n + 1
     items = [(e, float(v)) for e, v in _branch_items(target)]
     q = source.q
     table = {}
     for word in admissible_words(source.base, window):
         stream = [float(q[i - 1, j - 1]) for i, j in zip(word, word[1:])]
-        symbol = _forced_first_symbol(stream, target, items, tol)
-        if symbol is None:
+        first = next((k for k, v in enumerate(stream) if not _is_one(v)), None)
+        if first is None:
             return None
-        table[word] = symbol
+        try:
+            table[word] = _walk_back(target, items, stream[: first + 1])[0]
+        except ReconstructionError:
+            return None
     return BlockCode(window, table)
 
 
@@ -266,7 +248,7 @@ def _code_respects_edges(code: BlockCode, source: GibbsChain, target: GibbsChain
     return True
 
 
-def induce_conjugacy(chain_a: GibbsChain, chain_b: GibbsChain, tol: float = VALUE_MATCH_TOL):
+def induce_conjugacy(chain_a: GibbsChain, chain_b: GibbsChain):
     """Construct the sliding-block conjugacy induced by matching entry values.
 
     Requires equally many branch edges on both sides and pairwise distinct
@@ -282,10 +264,10 @@ def induce_conjugacy(chain_a: GibbsChain, chain_b: GibbsChain, tol: float = VALU
     st_b = chain_b.structure
     if len(st_a.branch_edges) != len(st_b.branch_edges):
         raise PreconditionError("chains must have equally many branch edges")
-    ok, collision = has_distinct_branch_values(chain_a, tol)
+    ok, collision = has_distinct_branch_values(chain_a)
     if not ok:
         raise PreconditionError(f"source branch values collide on {collision[0]} and {collision[1]}")
-    match, missing_b, missing_a = _branch_value_sets_match(chain_a, chain_b, tol)
+    match, missing_b, missing_a = _branch_value_sets_match(chain_a, chain_b)
     if not match:
         return ConjugacyObstruction(
             "value_set_mismatch",
@@ -293,10 +275,10 @@ def induce_conjugacy(chain_a: GibbsChain, chain_b: GibbsChain, tol: float = VALU
             missing_from_source=tuple(float(v) for v in missing_a),
             detail="branch-value sets differ, so the systems are not isomorphic",
         )
-    forward = _build_code(chain_a, chain_b, tol)
+    forward = _build_code(chain_a, chain_b)
     if forward is None or not _code_respects_edges(forward, chain_a, chain_b):
         return ConjugacyObstruction("not_invertible", detail="no consistent sliding code exists")
-    backward = _build_code(chain_b, chain_a, tol)
+    backward = _build_code(chain_b, chain_a)
     if backward is None or not _code_respects_edges(backward, chain_b, chain_a):
         return ConjugacyObstruction("not_invertible", detail="no consistent reverse code exists")
     probe = chain_a.n + chain_b.n + 2
@@ -351,7 +333,7 @@ def spectral_twin_chain(chain: GibbsChain) -> GibbsChain:
             raise DegenerateError("a2 equals a3 * b1; the twin would be cohomologous")
         one = Fraction(1)
     else:
-        if _close(a2, a3 * b1, VALUE_MATCH_TOL):
+        if _close(a2, a3 * b1):
             raise DegenerateError("a2 equals a3 * b1 within tolerance; the twin would be cohomologous")
         one = 1.0
     c = one - a1 - a3 * b1
@@ -379,13 +361,15 @@ class SNRCertificate:
 
     ``checks`` holds the five named boolean verifications; the verdict is
     their conjunction.  ``details`` carries the supporting data (witness
-    cycle, value-set differences, deviations, tolerances).
+    cycle, value-set differences, deviations, tolerances).  ``twin`` is the
+    chain of ``g``.
     """
 
     f: Potential
     g: Potential
     checks: dict
     details: dict
+    twin: GibbsChain
 
     @property
     def verdict(self) -> bool:
@@ -415,12 +399,10 @@ def snr_certificate(source) -> SNRCertificate:
     g = chain_g.normalized_potential()
 
     distinct, collision = has_distinct_branch_values(chain_f)
-    spectra_equal, deviation = char_poly_family_equal(chain_f, chain_g)
+    spectra_equal, deviation = char_poly_family_equal(chain_f, chain_g, tol=CHAR_POLY_TOL)
     cohomologous, witness = chains_cohomologous(chain_f, chain_g)
     auto = automorphisms(chain_f.base)
-    sets_match, missing_g, missing_f = _branch_value_sets_match(
-        chain_f, chain_g, VALUE_MATCH_TOL
-    )
+    sets_match, missing_g, missing_f = _branch_value_sets_match(chain_f, chain_g)
 
     checks = {
         "f_in_g": distinct,
@@ -439,8 +421,8 @@ def snr_certificate(source) -> SNRCertificate:
         "mode": "exact" if (chain_f.exact is not None and chain_g.exact is not None) else "numerical",
         "tolerances": {
             "value_match": VALUE_MATCH_TOL,
-            "char_poly_coefficients": 1e-10,
-            "cycle_sum": 1e-10,
+            "char_poly_coefficients": CHAR_POLY_TOL,
+            "cycle_sum": CYCLE_SUM_TOL,
         },
     }
-    return SNRCertificate(f, g, checks, details)
+    return SNRCertificate(f, g, checks, details, chain_g)

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import PreconditionError, SolverError
 from .gibbs import GibbsChain, perron
 from .shiftcore import TransitionMatrix, simple_cycles
+from .tolerances import CHAR_POLY_TOL, DIAGONAL_TOL, SPECTRUM_TOL
 
 __all__ = [
     "SpectrumCurve",
@@ -93,7 +94,7 @@ def spectrum_point(chain: GibbsChain, q: float):
     alpha = -_derivative_from(chain, m, data)
     entropy = beta + q * alpha
     ceiling = topological_entropy(chain.base)
-    if entropy < -1e-9 or entropy > ceiling + 1e-9:
+    if entropy < -SPECTRUM_TOL or entropy > ceiling + SPECTRUM_TOL:
         raise SolverError(f"spectrum value {entropy} escapes [0, {ceiling}]")
     return alpha, entropy
 
@@ -116,14 +117,14 @@ class SpectrumCurve:
 
     def validate(self) -> None:
         """Enforce monotonicity, range, and the diagonal touch at q = 1."""
-        if self.entropies.min() < -1e-9 or self.entropies.max() > self.ceiling + 1e-9:
+        if self.entropies.min() < -SPECTRUM_TOL or self.entropies.max() > self.ceiling + SPECTRUM_TOL:
             raise SolverError("spectrum values escape the entropy range")
-        if (np.diff(self.alphas) > 1e-9).any():
+        if (np.diff(self.alphas) > SPECTRUM_TOL).any():
             raise SolverError("decay rates fail to be non-increasing in q")
-        at_one = np.abs(self.qs - 1.0) <= 1e-9
+        at_one = np.abs(self.qs - 1.0) <= SPECTRUM_TOL
         if at_one.any():
             gap = np.abs(self.entropies[at_one] - self.alphas[at_one]).max()
-            if gap > 1e-8:
+            if gap > DIAGONAL_TOL:
                 raise SolverError("spectrum does not touch the diagonal at q = 1")
 
 
@@ -202,30 +203,23 @@ def _signed_cycle_profile(chain: GibbsChain) -> dict:
     return pruned
 
 
-def char_poly_family_equal(chain_a: GibbsChain, chain_b: GibbsChain, q_grid=None, tol: float = 1e-10, exact=None):
+def char_poly_family_equal(chain_a: GibbsChain, chain_b: GibbsChain, q_grid=None, tol: float = CHAR_POLY_TOL):
     """Whether the two powered families share characteristic polynomials.
 
-    In exact mode (both chains carry exact entries, or ``exact=True``) the
-    comparison certifies equality for every real ``q`` through the signed
-    cycle-cover fingerprint and the reported deviation is 0.  In floating
-    mode the polynomials are compared on the grid (default 25 points on
+    In exact mode (both chains carry exact entries) the comparison
+    certifies equality for every real ``q`` through the signed cycle-cover
+    fingerprint and the reported deviation is 0; unequal exact families
+    still report their numeric deviation on the grid.  In floating mode
+    the polynomials are compared on the grid (default 25 points on
     [-3, 3]) coefficientwise, with differences measured relative to the
-    largest coefficient magnitude at that grid point; the result is then a
-    high-confidence numerical statement rather than a proof.
+    largest coefficient magnitude at that grid point, against ``tol``; the
+    result is then a high-confidence numerical statement rather than a proof.
     """
     if chain_a.n != chain_b.n:
         raise PreconditionError("chains must share the alphabet size")
-    if exact is None:
-        exact = chain_a.exact is not None and chain_b.exact is not None
-    if exact:
-        if chain_a.exact is None or chain_b.exact is None:
-            raise PreconditionError("exact comparison needs exact entries on both chains")
-        if _signed_cycle_profile(chain_a) == _signed_cycle_profile(chain_b):
-            return True, 0.0
-        exact = False  # fall through to report a numeric deviation
-        equal_exact = False
-    else:
-        equal_exact = None
+    exact = chain_a.exact is not None and chain_b.exact is not None
+    if exact and _signed_cycle_profile(chain_a) == _signed_cycle_profile(chain_b):
+        return True, 0.0
     grid = DEFAULT_Q_GRID if q_grid is None else tuple(float(q) for q in q_grid)
     deviation = 0.0
     for q in grid:
@@ -233,6 +227,4 @@ def char_poly_family_equal(chain_a: GibbsChain, chain_b: GibbsChain, q_grid=None
         pb = np.array(char_poly(q_power(chain_b, q)), dtype=float)
         scale = max(1.0, float(np.abs(pa).max()), float(np.abs(pb).max()))
         deviation = max(deviation, float(np.abs(pa - pb).max()) / scale)
-    if equal_exact is False:
-        return False, deviation
-    return deviation <= tol, deviation
+    return not exact and deviation <= tol, deviation

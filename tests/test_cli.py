@@ -209,6 +209,19 @@ class TestSpectrumCommands:
         assert doc["mode"] == "numerical"
         assert "note" in doc
 
+    def test_compare_tol_sets_the_bound(self, capsys, log_file, tmp_path):
+        grid = log_values_grid()
+        grid[0][1] += 1e-6  # edge (1, 2)
+        shifted = tmp_path / "shifted.json"
+        shifted.write_text(json.dumps({"matrix": FOUR_MATRIX, "potential": {"log_values": grid}}))
+        for tol, equal in (("1e-10", False), ("1", True)):
+            code, doc, _ = run(
+                capsys, "spectrum", "compare", "--input", log_file, "--other", str(shifted), "--tol", tol
+            )
+            assert code == 0
+            assert doc["equal"] is equal
+            assert 1e-7 < doc["max_deviation"] < 1e-5
+
 
 class TestRigidityCommands:
     def test_check_g(self, capsys, exact_file):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -26,6 +27,7 @@ from markovgibbs import (
     structure,
 )
 from markovgibbs.shiftcore import _word_rows
+from markovgibbs.tolerances import CHAR_POLY_TOL, CYCLE_SUM_TOL, VALUE_MATCH_TOL
 
 from conftest import FIXTURE_VALUES, random_chain_with_distinct_values
 
@@ -155,7 +157,7 @@ class TestInduceConjugacy:
             code = induce_conjugacy(chain, chain)
             assert isinstance(code, BlockCode) and code.is_identity()
 
-    def test_relabeling_recovered(self, full2):
+    def test_relabeling_recovered(self, full2, fixture_chain):
         chain = GibbsChain.from_stochastic(
             full2, {(1, 1): 0.3, (2, 1): 0.7, (1, 2): 0.6, (2, 2): 0.4}
         )
@@ -168,6 +170,19 @@ class TestInduceConjugacy:
         assert all(symbol == swap[word[0]] for word, symbol in code.table.items())
         # the image of a long word under the code is the relabeled word
         assert code.apply((1, 2, 2, 1, 1)) == (2, 1, 1)
+        # the 4-symbol fixture has entries equal to 1, so building its code
+        # walks back through unique predecessors
+        for perm in itertools.permutations(range(1, 5)):
+            label = dict(zip(range(1, 5), perm))
+            entries = np.zeros((4, 4), dtype=int)
+            values = {}
+            for (i, j), v in FIXTURE_VALUES.items():
+                entries[label[i] - 1, label[j] - 1] = 1
+                values[(label[i], label[j])] = v
+            relabeled = GibbsChain.from_stochastic(TransitionMatrix(entries), values)
+            code = induce_conjugacy(fixture_chain, relabeled)
+            assert isinstance(code, BlockCode), perm
+            assert all(symbol == label[word[0]] for word, symbol in code.table.items()), perm
 
     def test_twin_pair_obstructed(self, fixture_chain):
         result = induce_conjugacy(fixture_chain, spectral_twin_chain(fixture_chain))
@@ -264,6 +279,12 @@ class TestCertificate:
         assert cert.details["missing_from_g"] == (0.3, 0.4)
         assert cert.details["missing_from_f"] == ()
         assert cert.details["mode"] == "numerical"
+        assert cert.details["tolerances"] == {
+            "value_match": VALUE_MATCH_TOL,
+            "char_poly_coefficients": CHAR_POLY_TOL,
+            "cycle_sum": CYCLE_SUM_TOL,
+        }
+        assert np.array_equal(cert.twin.q, spectral_twin_chain(fixture_chain).q)
 
     def test_accepts_potential_input(self, four_matrix):
         pot = Potential(four_matrix, {e: math.log(v) for e, v in FIXTURE_VALUES.items()})

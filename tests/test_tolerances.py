@@ -1,0 +1,25 @@
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "markovgibbs"
+
+
+def _small_floats(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and 0 < abs(node.value) < 1e-6
+    ]
+
+
+def test_comparison_bounds_live_in_the_tolerances_module():
+    stray = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "tolerances.py" and (found := _small_floats(path))
+    }
+    assert stray == {}
+    assert _small_floats(PACKAGE / "tolerances.py")
