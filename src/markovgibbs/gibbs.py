@@ -99,7 +99,8 @@ class PerronData:
     ``left`` is normalized to sum 1 and ``right`` scaled so that
     ``left @ right == 1``; both are entrywise positive.  ``residual`` is the
     larger achieved eigen-residual relative to the root (see :func:`perron`)
-    and ``gap`` is ``1 - |lambda_2| / root``.
+    and ``gap`` is ``1 - |lambda_2| / root``.  For a stack of matrices each
+    field gains a leading axis indexing the members.
     """
 
     root: float
@@ -118,67 +119,113 @@ def weight_matrix(potential: Potential) -> np.ndarray:
     return out
 
 
-def _dominant(m: np.ndarray):
-    """Dominant eigenpair of ``m`` (vector summing to 1) and the largest other modulus.
+def _fail_first(failed: np.ndarray, k: int, describe, stacked: bool) -> None:
+    """Raise :class:`SolverError` for the first of ``k`` stack members flagged in ``failed``.
 
-    ``np.linalg.eig`` alone can leave residuals above ``RESIDUAL_TOL`` of the
-    root on strongly graded matrices, so one Newton step on the bordered
-    system ``[[m - root*I, -v], [1, 0]]`` polishes the pair.
+    ``failed`` holds one flag per member, possibly repeated for the
+    transposed stack after it; ``describe`` gets the first flagged position.
+    """
+    if failed.any():
+        flags = failed.reshape(-1, k)
+        member = int(flags.any(axis=0).argmax())
+        message = describe(int(flags[:, member].argmax()) * k + member)
+        raise SolverError(f"stack member {member}: {message}" if stacked else message)
+
+
+def _dominant(m: np.ndarray, stacked: bool):
+    """Dominant eigenpairs of ``k`` matrices followed by their ``k`` transposes.
+
+    Returns the roots, the vectors scaled to sum 1 and the largest other
+    eigenvalue moduli, one row per matrix.  ``np.linalg.eig`` alone can
+    leave residuals above ``RESIDUAL_TOL`` of the root on strongly graded
+    matrices, so one Newton step on the bordered system
+    ``[[m - root*I, -v], [1, 0]]`` polishes each pair.
     """
     values, vectors = np.linalg.eig(m)
-    k = int(np.argmax(values.real))
-    root = float(values[k].real)
-    others = np.delete(values, k)
-    if values[k].imag != 0 or root <= 0:
-        raise SolverError(f"dominant eigenvalue {values[k]} is not real and positive")
-    if (np.abs(others - root) <= RESIDUAL_TOL * root).any():
-        raise SolverError(f"dominant eigenvalue {root} is not simple")
-    n = len(m)
-    vector = vectors[:, k].real / vectors[:, k].real.sum()
-    border = np.ones((n + 1, n + 1))
-    border[:n, :n] = m - root * np.eye(n)
-    border[:n, n] = -vector
-    border[n, n] = 0.0
-    step = np.linalg.solve(border, np.append(root * vector - m @ vector, 0.0))
-    vector += step[:n]
-    if not vector.min() > 0:
-        raise SolverError("eigenvectors are not strictly positive")
-    return root + float(step[n]), vector, float(np.abs(others).max(initial=0.0))
+    count, n = values.shape
+    k = count // 2
+    rows = np.arange(count)
+    top = values.real.argmax(axis=1)
+    lead = values[rows, top]
+    root = lead.real
+    positive = (lead.imag == 0) & (root > 0)
+    _fail_first(~positive, k, lambda i: f"dominant eigenvalue {lead[i]} is not real and positive", stacked)
+    near = np.abs(values - root[:, None]) <= RESIDUAL_TOL * root[:, None]
+    _fail_first(near.sum(axis=1) > 1, k, lambda i: f"dominant eigenvalue {root[i]} is not simple", stacked)
+    vector = vectors[rows, :, top].real
+    vector = vector / vector.sum(axis=1, keepdims=True)
+    border = np.ones((count, n + 1, n + 1))
+    border[:, :n, :n] = m - root[:, None, None] * np.eye(n)
+    border[:, :n, n] = -vector
+    border[:, n, n] = 0.0
+    rhs = np.zeros((count, n + 1, 1))
+    rhs[:, :n, 0] = root[:, None] * vector - (m @ vector[:, :, None])[:, :, 0]
+    step = np.linalg.solve(border, rhs)[:, :, 0]
+    vector += step[:, :n]
+    _fail_first(~(vector.min(axis=1) > 0), k, lambda i: "eigenvectors are not strictly positive", stacked)
+    moduli = np.abs(values)
+    moduli[rows, top] = 0.0
+    return root + step[:, n], vector, moduli.max(axis=1)
 
 
 def perron(matrix) -> PerronData:
     """Perron root, positive left/right eigenvectors, residual and gap.
 
-    One ``np.linalg.eig`` of ``M`` and one of ``M.T`` give the dominant
-    pairs, each polished by one Newton step; the root is the Rayleigh
-    quotient ``u @ M @ v / (u @ v)`` with ``u``, ``v`` the left and right
-    vectors scaled to sum 1.  The contract is checked: :class:`SolverError`
-    is raised when the eigenvalue of largest real part is not real,
-    positive and simple (no other eigenvalue within ``RESIDUAL_TOL *
-    root``), when the two solves' roots differ by more than ``RESIDUAL_TOL
-    * root``, when either vector is not strictly positive, or when
-    ``max|u @ M - root * u|`` or ``max|M @ v - root * v|`` exceeds
-    ``RESIDUAL_TOL * root``.  Reducible matrices fail one of these checks.
-    Non-square input, and negative or non-finite entries or an empty row or
-    column, raise :class:`PreconditionError`.
+    ``matrix`` is one ``(n, n)`` matrix or a ``(k, n, n)`` stack; a single
+    matrix is solved as a stack of one.  One ``np.linalg.eig`` of the stack
+    next to its transposes gives the right and left dominant pairs, each
+    polished by one Newton step (one batched ``np.linalg.solve``); the root
+    is the Rayleigh quotient ``u @ M @ v / (u @ v)`` with ``u``, ``v`` the
+    left and right vectors scaled to sum 1.  The contract is checked for
+    every member: :class:`SolverError` is raised when the eigenvalue of
+    largest real part is not real, positive and simple (no other eigenvalue
+    within ``RESIDUAL_TOL * root``), when the two solves' roots differ by
+    more than ``RESIDUAL_TOL * root``, when either vector is not strictly
+    positive, or when ``max|u @ M - root * u|`` or ``max|M @ v - root * v|``
+    exceeds ``RESIDUAL_TOL * root``.  Reducible matrices fail one of these
+    checks.  For a stack, the message names the first member failing the
+    earliest failed check.  Non-square input, and negative or non-finite
+    entries or an empty row or column, raise :class:`PreconditionError`.
+
+    For a single matrix the fields are floats and read-only 1-D arrays; for
+    a stack each field gains a leading axis of length ``k``.
     """
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    stacked = m.ndim == 3
+    if not stacked:
+        m = m[None]
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise PreconditionError("matrix must be square")
-    if not (np.isfinite(m).all() and (m >= 0).all() and m.sum(axis=0).all() and m.sum(axis=1).all()):
+    if not (np.isfinite(m).all() and (m >= 0).all() and m.sum(axis=1).all() and m.sum(axis=2).all()):
         raise PreconditionError("matrix must be finite and non-negative with no zero row or column")
-    right_root, v, second = _dominant(m)
-    left_root, u, _ = _dominant(m.T)
-    if abs(left_root - right_root) > RESIDUAL_TOL * right_root:
-        raise SolverError(f"left and right eigensolves found roots {left_root} and {right_root}")
-    root = float(u @ m @ v / (u @ v))
-    residual = max(np.abs(u @ m - root * u).max(), np.abs(m @ v - root * v).max()) / root
-    if residual > RESIDUAL_TOL:
-        raise SolverError(f"eigen-residual {residual:.3g} exceeds {RESIDUAL_TOL:.3g} of the root")
-    right = v / (u @ v)
-    u.setflags(write=False)
-    right.setflags(write=False)
-    return PerronData(root, u, right, float(residual), 1.0 - second / root)
+    k = len(m)
+    roots, vectors, moduli = _dominant(np.concatenate((m, m.transpose(0, 2, 1))), stacked)
+    right_root, left_root, v, u, second = roots[:k], roots[k:], vectors[:k], vectors[k:], moduli[:k]
+    _fail_first(
+        np.abs(left_root - right_root) > RESIDUAL_TOL * right_root,
+        k,
+        lambda i: f"left and right eigensolves found roots {left_root[i]} and {right_root[i]}",
+        stacked,
+    )
+    um = (u[:, None, :] @ m)[:, 0]
+    mv = (m @ v[:, :, None])[:, :, 0]
+    uv = (u * v).sum(axis=1)
+    root = (um * v).sum(axis=1) / uv
+    left_residual = np.abs(um - root[:, None] * u).max(axis=1)
+    residual = np.maximum(left_residual, np.abs(mv - root[:, None] * v).max(axis=1)) / root
+    _fail_first(
+        residual > RESIDUAL_TOL,
+        k,
+        lambda i: f"eigen-residual {residual[i]:.3g} exceeds {RESIDUAL_TOL:.3g} of the root",
+        stacked,
+    )
+    right = v / uv[:, None]
+    gap = 1.0 - second / root
+    for field in (u, right, root, residual, gap):
+        field.setflags(write=False)
+    if stacked:
+        return PerronData(root, u, right, residual, gap)
+    return PerronData(float(root[0]), u[0], right[0], float(residual[0]), float(gap[0]))
 
 
 class GibbsChain:

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from markovgibbs import (
     GibbsChain,
@@ -30,6 +33,21 @@ from conftest import (
     random_potential,
     random_primitive_matrix,
 )
+
+
+@st.composite
+def primitive_stacks(draw):
+    """Stacks of ``k`` primitive matrices at one size ``n``, positive on their edges.
+
+    Every member carries the cycle ``1 -> 2 -> ... -> n -> 1`` and a loop at
+    1 (irreducible and aperiodic, so primitive) plus any drawn extra edges.
+    """
+    n = draw(st.integers(2, 16))
+    k = draw(st.integers(1, 5))
+    edges = draw(hnp.arrays(bool, (k, n, n))) | np.roll(np.eye(n, dtype=bool), 1, axis=1)
+    edges[:, 0, 0] = True
+    logs = draw(hnp.arrays(float, (k, n, n), elements=st.floats(-4.0, 4.0)))
+    return np.where(edges, np.exp(logs), 0.0)
 
 
 class TestPotential:
@@ -135,6 +153,29 @@ class TestPerron:
         with pytest.raises(SolverError, match=reason):
             perron(matrix)
         assert time.perf_counter() - start < 0.5
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(primitive_stacks())
+    def test_stack_agrees_with_single_solves(self, stack):
+        data = perron(stack)
+        k = len(stack)
+        assert data.root.shape == data.residual.shape == data.gap.shape == (k,)
+        assert data.left.shape == data.right.shape == stack.shape[:2]
+        for i in range(k):
+            single = perron(stack[i])
+            assert type(single.root) is float and type(single.residual) is float
+            assert single.left.ndim == 1 and not single.left.flags.writeable
+            assert data.root[i] == pytest.approx(single.root, rel=1e-12, abs=0)
+            assert np.abs(data.left[i] - single.left).max() <= 1e-10
+            assert np.abs(data.right[i] - single.right).max() <= 1e-10
+            assert data.residual[i] <= 1e-12
+            assert data.gap[i] == pytest.approx(single.gap, abs=1e-10)
+
+    def test_stack_with_a_reducible_member_raises(self):
+        stack = np.array([[[1.0, 2.0], [3.0, 1.0]], [[1.0, 1.0], [0.0, 1.0]]])
+        with pytest.raises(SolverError, match="stack member 1: .*not simple"):
+            perron(stack)
+        assert perron(stack[:1]).root == pytest.approx([1 + math.sqrt(6)], abs=1e-12)
 
     def test_diagnostics(self, full2, golden_mean):
         assert perron(full2.entries).gap == pytest.approx(1.0, abs=1e-12)

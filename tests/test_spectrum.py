@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -314,6 +315,35 @@ class TestGeneratedFamilies:
             h_top = math.log(np.abs(np.linalg.eigvals(chain.base.entries.astype(float))).max())
             assert pressure(chain, 0.0) == pytest.approx(h_top, abs=1e-12)
             assert topological_entropy(chain.base) == pytest.approx(h_top, abs=1e-12)
+
+    @pytest.mark.parametrize("n", (4, 6, 8, 12, 16))
+    def test_curve_agrees_with_its_points(self, n):
+        # the curve solves its grid in stacked blocks; spectrum_point and
+        # pressure_derivative solve one q at a time, and pressure takes the
+        # single-matrix perron path; 150 points span more than one block
+        rng = np.random.default_rng(300 + n)
+        for steps in (25, 25, 150):
+            chain = random_chain(rng, random_primitive_matrix(rng, n))
+            curve = spectrum_curve(chain, -3.0, 3.0, steps)
+            points = np.array([spectrum_point(chain, float(q)) for q in curve.qs])
+            assert np.abs(curve.alphas - points[:, 0]).max() <= 1e-10
+            assert np.abs(curve.entropies - points[:, 1]).max() <= 1e-10
+            slopes = np.array([pressure_derivative(chain, float(q)) for q in curve.qs])
+            assert np.abs(slopes + curve.alphas).max() <= 1e-10
+            betas = np.array([pressure(chain, float(q)) for q in curve.qs])
+            assert np.abs(curve.entropies - curve.qs * curve.alphas - betas).max() <= 1e-10
+
+    def test_large_grid_memory_is_bounded(self):
+        rng = np.random.default_rng(416)
+        chain = random_chain(rng, random_primitive_matrix(rng, 16))
+        spectrum_curve(chain, -3.0, 3.0, 2)
+        tracemalloc.start()
+        try:
+            spectrum_curve(chain, -3.0, 3.0, 4000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
 
     @pytest.mark.parametrize("n", (2, 4, 6, 8))
     def test_float_char_poly_matches_oracles(self, n):
