@@ -361,13 +361,14 @@ def _cmd_spectrum_curve(args):
     problem = load_problem(args.input)
     chain = _require_chain(problem)
     curve = spectrum_curve(chain, args.qmin, args.qmax, args.steps)
-    lines = ["q,alpha,entropy"]
-    lines += [
-        f"{_format_float(q)},{_format_float(a)},{_format_float(e)}"
-        for q, a, e in curve.samples
-    ]
-    with open(args.table, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    if args.table is not None:
+        lines = ["q,alpha,entropy"]
+        lines += [
+            f"{_format_float(q)},{_format_float(a)},{_format_float(e)}"
+            for q, a, e in curve.samples
+        ]
+        with open(args.table, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
     doc = {
         "command": "spectrum curve",
         "samples": [{"q": q, "alpha": a, "entropy": e} for q, a, e in curve.samples],
@@ -539,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("--qmin", {"type": float, "default": -3.0}),
             ("--qmax", {"type": float, "default": 3.0}),
             ("--steps", {"type": int, "default": 25}),
-            ("--table", {"default": "spectrum_curve.csv"}),
+            ("--table", {"default": None, "help": "also write a q,alpha,entropy CSV table to this path"}),
         ],
     )
     command(

@@ -23,7 +23,7 @@ from .errors import (
     WrongBaseError,
 )
 from .gibbs import GibbsChain, Potential, chains_cohomologous, normalize
-from .shiftcore import TransitionMatrix, admissible_words, automorphisms
+from .shiftcore import TransitionMatrix, _require_word_limit, admissible_words, automorphisms
 from .spectrum import char_poly_family_equal
 from .tolerances import CHAR_POLY_TOL, CYCLE_SUM_TOL, VALUE_MATCH_TOL
 
@@ -218,21 +218,49 @@ def _branch_value_sets_match(chain_a: GibbsChain, chain_b: GibbsChain):
     return (not missing_a and not missing_b), missing_b, missing_a
 
 
+def _decode_window(chain: GibbsChain):
+    """Symbols a code needs to decode one target symbol, or None if unbounded.
+
+    A stream read from a word is decoded from its first value other than 1,
+    so the window is ``L + 2`` where ``L`` is the longest run of consecutive
+    edges whose entry reads as 1.  These are the edges into in-degree-1
+    symbols, and a branch edge only if its entry lies within
+    ``VALUE_MATCH_TOL`` of 1.  Entries into a symbol sum to 1, so each
+    symbol is entered by at most one such edge, and a run is found by
+    following predecessors.  The run is acyclic and at most ``n - 1`` edges
+    long, unless it reaches a cycle of such edges, as on ``[[1]]``; then no
+    window decodes and None is returned.
+    """
+    pred = {j: i for i, j in chain.base.edges if _is_one(chain.q[i - 1, j - 1])}
+    longest = 0
+    for end in pred:
+        run, symbol = 0, end
+        while symbol in pred:
+            run += 1
+            symbol = pred[symbol]
+            if run > chain.n:
+                return None
+        longest = max(longest, run)
+    return longest + 2
+
+
 def _build_code(source: GibbsChain, target: GibbsChain):
-    """Sliding code induced by matching entry values, or None on failure.
+    """Sliding code on the decode window induced by matching entry values,
+    or None on failure.
 
     Each source window word maps to the first symbol of the target word
-    that reads its value stream up to the first value other than 1.
+    that reads its value stream up to the first value other than 1; the
+    window guarantees that value is in the stream.
     """
-    window = source.n + 1
+    window = _decode_window(source)
+    if window is None:
+        return None
     items = [(e, float(v)) for e, v in _branch_items(target)]
     q = source.q
     table = {}
     for word in admissible_words(source.base, window):
         stream = [float(q[i - 1, j - 1]) for i, j in zip(word, word[1:])]
-        first = next((k for k, v in enumerate(stream) if not _is_one(v)), None)
-        if first is None:
-            return None
+        first = next(k for k, v in enumerate(stream) if not _is_one(v))
         try:
             table[word] = _walk_back(target, items, stream[: first + 1])[0]
         except ReconstructionError:
@@ -254,11 +282,34 @@ def induce_conjugacy(chain_a: GibbsChain, chain_b: GibbsChain):
     Requires equally many branch edges on both sides and pairwise distinct
     branch values on the source.  If the branch-value sets differ (as
     sets), returns a ``value_set_mismatch`` obstruction: the two measure
-    systems cannot be isomorphic.  Otherwise each source word of length
-    ``n + 1`` forces one target symbol through its value stream; the
-    resulting code is verified to respect edges and to invert the code
-    built in the opposite direction on all words of combined window length.
-    Any failure returns a ``not_invertible`` obstruction.
+    systems cannot be isomorphic.  Otherwise the forward code sends each
+    source word of the decode window ``w_a`` to the target symbol its
+    value stream forces, and the backward code does the same from the
+    target with ``w_b``.  The decode window is ``L + 2``, where ``L`` is the
+    longest run of consecutive edges with entry 1, which enter symbols of
+    in-degree 1; it is at most ``n + 1`` (4 on the 4-symbol counterexample
+    base, whose run is 2 -> 1 -> 3).  Both codes are verified to respect
+    edges on all words of length ``w + 1``, and to invert each other on all
+    words of length ``w_a + w_b`` on either side.  Any failure, including a
+    chain with no decode window such as ``[[1]]``, returns a
+    ``not_invertible`` obstruction.
+
+    These checks give the verdicts that the same checks give with window
+    ``n + 1``, edge words of length ``n + 2`` and round-trip words of length
+    ``n_a + n_b + 2``.  Within any longer window, a code's image symbol
+    depends only on the first ``w`` symbols, since the stream reaches a
+    value other than 1 by then.  Every admissible word extends to a longer
+    admissible word, because every symbol has a successor, and every prefix
+    of one is admissible.  So each check on the longer words sees exactly
+    the results of the check on their prefixes of the shorter length.
+
+    The verified forward code is returned widened to window ``n_a + 1``,
+    each admissible word of that length mapped as its first ``w_a``
+    symbols are.  Word enumeration refuses more than
+    :data:`~markovgibbs.shiftcore.WORD_LIMIT` words of one length with a
+    :class:`PreconditionError`; the count for the widening is checked
+    before any code is built, so a dense base (a 12-symbol full shift has
+    ``12**13`` words of length 13) is refused at once.
     """
     st_a = chain_a.structure
     st_b = chain_b.structure
@@ -275,20 +326,23 @@ def induce_conjugacy(chain_a: GibbsChain, chain_b: GibbsChain):
             missing_from_source=tuple(float(v) for v in missing_a),
             detail="branch-value sets differ, so the systems are not isomorphic",
         )
+    window = chain_a.n + 1
+    _require_word_limit(chain_a.base, window)
     forward = _build_code(chain_a, chain_b)
     if forward is None or not _code_respects_edges(forward, chain_a, chain_b):
         return ConjugacyObstruction("not_invertible", detail="no consistent sliding code exists")
     backward = _build_code(chain_b, chain_a)
     if backward is None or not _code_respects_edges(backward, chain_b, chain_a):
         return ConjugacyObstruction("not_invertible", detail="no consistent reverse code exists")
-    probe = chain_a.n + chain_b.n + 2
+    probe = forward.window + backward.window
     for word in admissible_words(chain_a.base, probe):
         if backward.apply(forward.apply(word)) != word[:2]:
             return ConjugacyObstruction("not_invertible", detail="round trip fails on the source side")
     for word in admissible_words(chain_b.base, probe):
         if forward.apply(backward.apply(word)) != word[:2]:
             return ConjugacyObstruction("not_invertible", detail="round trip fails on the target side")
-    return forward
+    table = {word: forward.table[word[: forward.window]] for word in admissible_words(chain_a.base, window)}
+    return BlockCode(window, table)
 
 
 _COUNTEREXAMPLE_ROWS = ((0, 1, 1, 1), (1, 0, 0, 1), (0, 1, 0, 0), (0, 1, 0, 0))

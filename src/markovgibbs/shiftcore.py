@@ -34,6 +34,11 @@ __all__ = [
 Word = tuple  # alias used in signatures for readability
 Edge = tuple
 
+# The most words ``admissible_words`` builds in one call.  A million words of
+# length L take 8 L MB as an integer array and several times that as tuples,
+# so larger enumerations are refused up front instead of exhausting memory.
+WORD_LIMIT = 1_000_000
+
 
 class TransitionMatrix:
     """A zero-one transition matrix with every row and column occupied.
@@ -202,13 +207,43 @@ def _word_rows(matrix: TransitionMatrix, length: int) -> np.ndarray:
     return rows
 
 
+def _word_count(matrix: TransitionMatrix, length: int) -> int:
+    """Exact number of admissible words of the given length.
+
+    This is the entry sum of ``A**(length - 1)``, computed in Python
+    integers so that it never overflows.
+    """
+    if length == 0:
+        return 1
+    succ = [matrix.successors(i) for i in range(1, matrix.n + 1)]
+    ends = [1] * matrix.n  # words of the current length starting at each symbol
+    for _ in range(length - 1):
+        ends = [sum(ends[j - 1] for j in row) for row in succ]
+    return sum(ends)
+
+
+def _require_word_limit(matrix: TransitionMatrix, length: int) -> None:
+    """Raise :class:`PreconditionError` if more than ``WORD_LIMIT`` words
+    of the given length are admissible and not built yet."""
+    if length in matrix._words:
+        return
+    count = _word_count(matrix, length)
+    if count > WORD_LIMIT:
+        raise PreconditionError(
+            f"{count} admissible words of length {length} exceed the limit of {WORD_LIMIT}"
+        )
+
+
 def admissible_words(matrix: TransitionMatrix, length: int) -> list:
     """All admissible words of the given length, lexicographically sorted.
 
-    Length 0 yields the singleton list containing the empty word.
+    Length 0 yields the singleton list containing the empty word.  Raises
+    :class:`PreconditionError`, before building anything, when there are
+    more than ``WORD_LIMIT`` such words.
     """
     if length < 0:
         raise PreconditionError("word length must be non-negative")
+    _require_word_limit(matrix, length)
     return [tuple(int(s) for s in row) for row in _word_rows(matrix, length)]
 
 

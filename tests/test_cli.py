@@ -189,6 +189,16 @@ class TestSpectrumCommands:
         assert lines[0] == "q,alpha,entropy"
         assert len(lines) == 26
 
+    def test_curve_writes_no_table_unless_asked(self, capsys, log_file, tmp_path, monkeypatch):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        code, doc, _ = run(capsys, "spectrum", "curve", "--input", log_file, "--steps", "5")
+        assert code == 0
+        assert len(doc["samples"]) == 5
+        assert doc["table"] is None
+        assert list(workdir.iterdir()) == []
+
     def test_compare_exact_twin(self, capsys, exact_file, tmp_path):
         _, twin_doc, _ = run(capsys, "rigidity", "counterexample", "--input", exact_file)
         twin_path = tmp_path / "twin.json"

@@ -1,10 +1,14 @@
 import itertools
 import math
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from markovgibbs import (
     BlockCode,
@@ -26,10 +30,21 @@ from markovgibbs import (
     spectral_twin_chain,
     structure,
 )
-from markovgibbs.shiftcore import _word_rows
+from markovgibbs.rigidity import (
+    _branch_items,
+    _branch_value_sets_match,
+    _decode_window,
+    _is_one,
+    _walk_back,
+)
+from markovgibbs.shiftcore import _word_count, _word_rows, admissible_words
 from markovgibbs.tolerances import CHAR_POLY_TOL, CYCLE_SUM_TOL, VALUE_MATCH_TOL
 
-from conftest import FIXTURE_VALUES, random_chain_with_distinct_values
+from conftest import (
+    FIXTURE_VALUES,
+    random_chain_with_distinct_values,
+    random_primitive_matrix,
+)
 
 
 def chain_with(four_matrix, a1, a2, a3, b1, b2):
@@ -221,6 +236,187 @@ class TestInduceConjugacy:
         result = induce_conjugacy(chain_a, three)
         assert isinstance(result, ConjugacyObstruction)
         assert result.kind == "not_invertible"
+
+    def test_decode_window_of_counterexample_base(self, fixture_chain):
+        # the longest run of in-degree-1 symbols is 1 -> 3, entered from 2
+        assert _decode_window(fixture_chain) == 4
+
+    def test_single_symbol_is_not_invertible(self):
+        chain = GibbsChain.from_stochastic(TransitionMatrix([[1]]), {(1, 1): 1.0})
+        assert _decode_window(chain) is None
+        result = induce_conjugacy(chain, chain)
+        assert isinstance(result, ConjugacyObstruction)
+        assert result.kind == "not_invertible"
+        assert result.detail == "no consistent sliding code exists"
+
+    def test_eight_symbol_self_conjugacy(self):
+        # window n + 1 and probe length 2n + 2 ran out of memory at n = 8
+        rng = np.random.default_rng(0)
+        chain = random_chain_with_distinct_values(rng, random_primitive_matrix(rng, 8))
+        start = time.perf_counter()
+        code = induce_conjugacy(chain, chain)
+        elapsed = time.perf_counter() - start
+        assert isinstance(code, BlockCode) and code.is_identity()
+        assert code.window == 9
+        assert elapsed < 10.0  # about 0.6 s on a 2-vCPU VM
+
+    def test_dense_base_is_refused_fast(self):
+        rng = np.random.default_rng(1)
+        chain = random_chain_with_distinct_values(rng, TransitionMatrix(np.ones((12, 12), dtype=int)))
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match=f"{12**13} admissible words of length 13"):
+            induce_conjugacy(chain, chain)
+        assert time.perf_counter() - start < 0.5
+
+
+def _reference_build_code(source, target):
+    """The induced code on window ``n + 1``, as first implemented."""
+    window = source.n + 1
+    items = [(e, float(v)) for e, v in _branch_items(target)]
+    table = {}
+    for word in admissible_words(source.base, window):
+        stream = [float(source.q[i - 1, j - 1]) for i, j in zip(word, word[1:])]
+        first = next((k for k, v in enumerate(stream) if not _is_one(v)), None)
+        if first is None:
+            return None
+        try:
+            table[word] = _walk_back(target, items, stream[: first + 1])[0]
+        except ReconstructionError:
+            return None
+    return BlockCode(window, table)
+
+
+def _reference_respects_edges(code, source, target):
+    for word in admissible_words(source.base, code.window + 1):
+        image = code.apply(word)
+        if not target.base.has_edge(image[0], image[1]):
+            return False
+    return True
+
+
+def _reference_conjugacy(chain_a, chain_b):
+    """``induce_conjugacy`` with window ``n + 1`` and probe ``n_a + n_b + 2``."""
+    if len(chain_a.structure.branch_edges) != len(chain_b.structure.branch_edges):
+        raise PreconditionError("chains must have equally many branch edges")
+    ok, collision = has_distinct_branch_values(chain_a)
+    if not ok:
+        raise PreconditionError(f"source branch values collide on {collision[0]} and {collision[1]}")
+    match, missing_b, missing_a = _branch_value_sets_match(chain_a, chain_b)
+    if not match:
+        return ConjugacyObstruction(
+            "value_set_mismatch",
+            missing_from_target=tuple(float(v) for v in missing_b),
+            missing_from_source=tuple(float(v) for v in missing_a),
+            detail="branch-value sets differ, so the systems are not isomorphic",
+        )
+    forward = _reference_build_code(chain_a, chain_b)
+    if forward is None or not _reference_respects_edges(forward, chain_a, chain_b):
+        return ConjugacyObstruction("not_invertible", detail="no consistent sliding code exists")
+    backward = _reference_build_code(chain_b, chain_a)
+    if backward is None or not _reference_respects_edges(backward, chain_b, chain_a):
+        return ConjugacyObstruction("not_invertible", detail="no consistent reverse code exists")
+    probe = chain_a.n + chain_b.n + 2
+    for word in admissible_words(chain_a.base, probe):
+        if backward.apply(forward.apply(word)) != word[:2]:
+            return ConjugacyObstruction("not_invertible", detail="round trip fails on the source side")
+    for word in admissible_words(chain_b.base, probe):
+        if forward.apply(backward.apply(word)) != word[:2]:
+            return ConjugacyObstruction("not_invertible", detail="round trip fails on the target side")
+    return forward
+
+
+def _outcome(conjugacy, chain_a, chain_b):
+    try:
+        result = conjugacy(chain_a, chain_b)
+    except PreconditionError as error:
+        return ("raises", str(error))
+    if isinstance(result, BlockCode):
+        return ("code", result.window, list(result.table.items()))
+    return (result.kind, result.detail, result.missing_from_target, result.missing_from_source)
+
+
+# Words of length 2n + 2 allowed on a drawn base, which keeps the reference fast.
+_REFERENCE_WORDS = 6_000
+
+
+def _out_split(chain):
+    """The chain with a new symbol ``n + 1`` split off an in-degree-1 symbol
+    ``s`` of out-degree at least 2: the new symbol takes the last edge out
+    of ``s`` with its entry, and is entered from the predecessor of ``s``
+    with entry 1.  The result is conjugate to the chain on ``n + 1``
+    symbols.  None when no symbol qualifies.
+    """
+    base = chain.base
+    for s in range(1, base.n + 1):
+        if chain.structure.in_degrees[s - 1] == 1 and len(base.successors(s)) >= 2:
+            break
+    else:
+        return None
+    moved = base.successors(s)[-1]
+    values = {e: chain.value(*e) for e in base.edges if e != (s, moved)}
+    values[(base.predecessors(s)[0], base.n + 1)] = 1.0
+    values[(base.n + 1, moved)] = chain.value(s, moved)
+    entries = np.zeros((base.n + 1, base.n + 1), dtype=int)
+    for i, j in values:
+        entries[i - 1, j - 1] = 1
+    return GibbsChain.from_stochastic(TransitionMatrix(entries), values)
+
+
+@st.composite
+def conjugacy_cases(draw):
+    """Pairs of chains from one chain on a random primitive base with 2 to 5
+    symbols: the chain against itself, a symbol-relabeled copy, a chain
+    from other edge values on the same base, the chain with its branch
+    entries rotated within each column (the same value set, usually another
+    chain), and, both ways, an out-split copy on ``n + 1`` symbols.
+
+    Every base carries the cycle ``1 -> 2 -> ... -> n -> 1`` and a loop at
+    1 (so it is primitive) plus up to ``n`` drawn edges, the last of which
+    are dropped while the base has more than ``_REFERENCE_WORDS`` words of
+    length ``2n + 2``.
+    """
+    n = draw(st.integers(2, 5))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    while True:
+        entries = np.roll(np.eye(n, dtype=int), 1, axis=1)
+        entries[0, 0] = 1
+        for i, j in extra:
+            entries[i, j] = 1
+        base = TransitionMatrix(entries)
+        if _word_count(base, 2 * n + 2) <= _REFERENCE_WORDS:
+            break
+        extra.pop()
+    weights = draw(hnp.arrays(float, (2, n, n), elements=st.floats(-3.0, 3.0)))
+    chain, other = (
+        normalize(Potential(base, {(i, j): w[i - 1, j - 1] for i, j in base.edges}))[0]
+        for w in weights
+    )
+    label = dict(zip(range(1, n + 1), draw(st.permutations(range(1, n + 1)))))
+    relabeled_entries = np.zeros((n, n), dtype=int)
+    relabeled_values = {}
+    for i, j in base.edges:
+        relabeled_entries[label[i] - 1, label[j] - 1] = 1
+        relabeled_values[(label[i], label[j])] = chain.value(i, j)
+    rotated_values = {}
+    for j in range(1, n + 1):
+        column = [(i, j) for i in base.predecessors(j)]
+        for edge, moved in zip(column, column[1:] + column[:1]):
+            rotated_values[moved] = chain.value(*edge)
+    relabeled = GibbsChain.from_stochastic(TransitionMatrix(relabeled_entries), relabeled_values)
+    rotated = GibbsChain.from_stochastic(base, rotated_values)
+    pairs = [(chain, partner) for partner in (chain, relabeled, other, rotated)]
+    split = _out_split(chain)
+    if split is not None:
+        pairs += [(chain, split), (split, chain)]
+    return pairs
+
+
+class TestConjugacyMatchesReference:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(conjugacy_cases())
+    def test_same_code_or_obstruction(self, pairs):
+        for chain_a, chain_b in pairs:
+            assert _outcome(induce_conjugacy, chain_a, chain_b) == _outcome(_reference_conjugacy, chain_a, chain_b)
 
 
 class TestSpectralTwin:

@@ -13,6 +13,7 @@ from markovgibbs import (
     structure,
     total_amalgamation,
 )
+from markovgibbs.shiftcore import WORD_LIMIT, _word_count
 
 from conftest import random_primitive_matrix
 
@@ -115,6 +116,24 @@ class TestAdmissibleWords:
                 words = admissible_words(matrix, length)
                 expected = sum(out_degree[w[-1]] for w in words)
                 assert len(admissible_words(matrix, length + 1)) == expected
+
+    def test_word_count_is_exact(self, four_matrix, golden_mean):
+        rng = np.random.default_rng(12)
+        matrices = [four_matrix, golden_mean]
+        matrices += [random_primitive_matrix(rng, int(rng.integers(2, 7))) for _ in range(10)]
+        for matrix in matrices:
+            for length in range(0, 7):
+                assert _word_count(matrix, length) == len(admissible_words(matrix, length))
+
+    def test_word_limit_refuses_before_building(self, full2):
+        # 2**19 words of length 19 are within the limit, 2**20 are not
+        assert _word_count(full2, 19) == 2**19 <= WORD_LIMIT < 2**20
+        with pytest.raises(PreconditionError, match=f"{2**20} admissible words of length 20"):
+            admissible_words(full2, 20)
+        assert 20 not in full2._words
+        # the count is exact in Python integers far past int64
+        with pytest.raises(PreconditionError, match=str(2**200)):
+            admissible_words(full2, 200)
 
     def test_admissibility_cases(self, golden_mean):
         assert is_admissible(golden_mean, ())
