@@ -13,6 +13,11 @@ off the edges); ``q_matrix`` gives exact rational column-stochastic entries
 directly ("p/q" strings or integers) and switches comparisons to exact
 arithmetic.  Exit codes: 0 success, 2 precondition or input violation,
 3 numerical failure, 4 obstruction result.
+
+Each command is declared once, by ``@_command(group, name, *options)`` on its
+handler; the parser is built from those declarations in order.  A handler takes
+the loaded ``--input`` problem and the parsed arguments and returns its document,
+or (document, exit code); ``main`` puts ``"command": "GROUP NAME"`` first.
 """
 
 from __future__ import annotations
@@ -247,14 +252,23 @@ def _chain_potential_doc(chain: GibbsChain) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (document, exit_code).
+# Command handlers.
 
 
-def _cmd_shift_info(args):
-    problem = load_problem(args.input)
+_COMMANDS = []  # (group, name, handler, options) in declaration order
+
+
+def _command(group, name, *options):
+    def register(handler):
+        _COMMANDS.append((group, name, handler, options))
+        return handler
+    return register
+
+
+@_command("shift", "info")
+def _cmd_shift_info(problem, args):
     st = structure(problem.matrix)
-    doc = {
-        "command": "shift info",
+    return {
         "n": problem.matrix.n,
         "primitive": is_primitive(problem.matrix),
         "edges": [list(e) for e in st.edges],
@@ -262,57 +276,49 @@ def _cmd_shift_info(args):
         "branch_symbols": sorted(st.branch_symbols),
         "branch_edges": [list(e) for e in sorted(st.branch_edges)],
     }
-    return doc, EXIT_OK
 
 
-def _cmd_shift_cycles(args):
-    problem = load_problem(args.input)
+@_command("shift", "cycles")
+def _cmd_shift_cycles(problem, args):
     cycles = simple_cycles(problem.matrix)
     holds, violations = cycle_intersection_condition(problem.matrix)
-    doc = {
-        "command": "shift cycles",
+    return {
         "cycles": [list(c) for c in cycles],
         "intersection_condition": {
             "holds": holds,
             "violations": [[list(a), list(b)] for a, b in violations],
         },
     }
-    return doc, EXIT_OK
 
 
-def _cmd_shift_amalgamate(args):
-    problem = load_problem(args.input)
+@_command("shift", "amalgamate")
+def _cmd_shift_amalgamate(problem, args):
     reduced, mapping = total_amalgamation(problem.matrix)
-    doc = {
-        "command": "shift amalgamate",
+    return {
         "matrix": _matrix_doc(reduced),
         "merge_map": {str(k): v for k, v in sorted(mapping.items())},
         "fixed_point": reduced.n == problem.matrix.n,
     }
-    return doc, EXIT_OK
 
 
-def _cmd_shift_autos(args):
-    problem = load_problem(args.input)
+@_command("shift", "autos")
+def _cmd_shift_autos(problem, args):
     result = automorphisms(problem.matrix)
-    doc = {
-        "command": "shift autos",
+    return {
         "status": result.status,
         "permutations": [list(p) for p in result.permutations],
     }
-    return doc, EXIT_OK
 
 
-def _cmd_gibbs_normalize(args):
-    problem = load_problem(args.input)
+@_command("gibbs", "normalize")
+def _cmd_gibbs_normalize(problem, args):
     if problem.potential_kind == "q_matrix":
         chain = _require_chain(problem)
         root, left = 1.0, [1.0 / problem.matrix.n] * problem.matrix.n
     else:
         chain, data = normalize(_require_potential(problem))
         root, left = data.root, list(data.left)
-    doc = {
-        "command": "gibbs normalize",
+    return {
         "mode": problem.mode,
         "perron_root": root,
         "left_eigenvector": left,
@@ -322,43 +328,45 @@ def _cmd_gibbs_normalize(args):
             chain.base, lambda i, j: math.log(chain.value(i, j))
         ),
     }
-    return doc, EXIT_OK
 
 
-def _cmd_gibbs_measure(args):
-    problem = load_problem(args.input)
+@_command("gibbs", "measure", ("--word", {"required": True}))
+def _cmd_gibbs_measure(problem, args):
     chain = _require_chain(problem)
     word = _parse_word(args.word, problem.matrix.n)
-    doc = {
-        "command": "gibbs measure",
+    return {
         "word": list(word),
         "measure": cylinder_measure(chain, word),
     }
-    return doc, EXIT_OK
 
 
-def _cmd_gibbs_entropy(args):
-    problem = load_problem(args.input)
+@_command("gibbs", "entropy")
+def _cmd_gibbs_entropy(problem, args):
     chain = _require_chain(problem)
-    return {"command": "gibbs entropy", "entropy": ks_entropy(chain)}, EXIT_OK
+    return {"entropy": ks_entropy(chain)}
 
 
-def _cmd_gibbs_cohomology(args):
-    problem = load_problem(args.input)
+@_command("gibbs", "cohomology", ("--other", {"required": True}))
+def _cmd_gibbs_cohomology(problem, args):
     other = load_problem(args.other)
     same, witness = cohomologous_with_constant(
         _require_potential(problem), _require_potential(other)
     )
-    doc = {
-        "command": "gibbs cohomology",
+    return {
         "cohomologous": same,
         "witness_cycle": None if witness is None else list(witness),
     }
-    return doc, EXIT_OK
 
 
-def _cmd_spectrum_curve(args):
-    problem = load_problem(args.input)
+@_command(
+    "spectrum",
+    "curve",
+    ("--qmin", {"type": float, "default": -3.0}),
+    ("--qmax", {"type": float, "default": 3.0}),
+    ("--steps", {"type": int, "default": 25}),
+    ("--table", {"default": None, "help": "also write a q,alpha,entropy CSV table to this path"}),
+)
+def _cmd_spectrum_curve(problem, args):
     chain = _require_chain(problem)
     curve = spectrum_curve(chain, args.qmin, args.qmax, args.steps)
     if args.table is not None:
@@ -369,117 +377,115 @@ def _cmd_spectrum_curve(args):
         ]
         with open(args.table, "w") as handle:
             handle.write("\n".join(lines) + "\n")
-    doc = {
-        "command": "spectrum curve",
+    return {
         "samples": [{"q": q, "alpha": a, "entropy": e} for q, a, e in curve.samples],
         "table": args.table,
     }
-    return doc, EXIT_OK
 
 
-def _cmd_spectrum_compare(args):
-    problem = load_problem(args.input)
+@_command(
+    "spectrum",
+    "compare",
+    ("--other", {"required": True}),
+    ("--tol", {"type": float, "default": CHAR_POLY_TOL}),
+)
+def _cmd_spectrum_compare(problem, args):
     other = load_problem(args.other)
     chain_a = _require_chain(problem)
     chain_b = _require_chain(other)
     equal, deviation = char_poly_family_equal(chain_a, chain_b, tol=args.tol)
     exact = chain_a.exact is not None and chain_b.exact is not None
     doc = {
-        "command": "spectrum compare",
         "equal": equal,
         "max_deviation": deviation,
         "mode": "exact" if exact else "numerical",
     }
     if not exact:
         doc["note"] = "numerical mode compares coefficients on a finite grid; heuristic"
-    return doc, EXIT_OK
+    return doc
 
 
-def _cmd_rigidity_check_g(args):
-    problem = load_problem(args.input)
+@_command("rigidity", "check-g")
+def _cmd_rigidity_check_g(problem, args):
     chain = _require_chain(problem)
     distinct, collision = has_distinct_branch_values(chain)
-    doc = {
-        "command": "rigidity check-g",
+    return {
         "mode": problem.mode,
         "distinct": distinct,
         "collision": None if collision is None else [list(collision[0]), list(collision[1])],
     }
-    return doc, EXIT_OK
 
 
-def _cmd_rigidity_sample_g(args):
-    problem = load_problem(args.input)
+@_command(
+    "rigidity",
+    "sample-g",
+    ("--samples", {"type": int, "default": 1000}),
+    ("--seed", {"type": int, "default": 0}),
+)
+def _cmd_rigidity_sample_g(problem, args):
     fraction = sampled_distinct_fraction(problem.matrix, args.samples, args.seed)
-    doc = {
-        "command": "rigidity sample-g",
+    return {
         "samples": args.samples,
         "seed": args.seed,
         "fraction": fraction,
     }
-    return doc, EXIT_OK
 
 
-def _cmd_rigidity_reconstruct(args):
-    problem = load_problem(args.input)
+@_command("rigidity", "reconstruct", ("--values", {"required": True}))
+def _cmd_rigidity_reconstruct(problem, args):
     chain = _require_chain(problem)
     try:
         values = [float(v) for v in args.values.split(",")]
     except ValueError as exc:
         raise InputError(f"--values: {exc}") from exc
     word = reconstruct_word(chain, values)
-    doc = {
-        "command": "rigidity reconstruct",
+    return {
         "values": values,
         "word": list(word),
     }
-    return doc, EXIT_OK
 
 
-def _cmd_rigidity_conjugacy(args):
-    problem = load_problem(args.input)
+@_command("rigidity", "conjugacy", ("--other", {"required": True}))
+def _cmd_rigidity_conjugacy(problem, args):
     other = load_problem(args.other)
     result = induce_conjugacy(_require_chain(problem), _require_chain(other))
     if isinstance(result, ConjugacyObstruction):
-        doc = {
-            "command": "rigidity conjugacy",
+        return {
             "obstruction": {
                 "kind": result.kind,
                 "missing_from_target": list(result.missing_from_target),
                 "missing_from_source": list(result.missing_from_source),
                 "detail": result.detail,
             },
-        }
-        return doc, EXIT_OBSTRUCTION
-    doc = {
-        "command": "rigidity conjugacy",
+        }, EXIT_OBSTRUCTION
+    return {
         "code": {
             "window": result.window,
             "identity": result.is_identity(),
             "table": [[list(word), symbol] for word, symbol in sorted(result.table.items())],
         },
     }
-    return doc, EXIT_OK
 
 
-def _cmd_rigidity_counterexample(args):
-    problem = load_problem(args.input)
+@_command("rigidity", "counterexample")
+def _cmd_rigidity_counterexample(problem, args):
     twin = spectral_twin_chain(_require_chain(problem))
-    doc = {
-        "command": "rigidity counterexample",
+    return {
         "matrix": _matrix_doc(twin.base),
         "potential": _chain_potential_doc(twin),
         "stochastic_matrix": [list(row) for row in twin.q],
     }
-    return doc, EXIT_OK
 
 
-def _cmd_rigidity_certificate(args):
-    problem = load_problem(args.input)
+@_command(
+    "rigidity",
+    "certificate",
+    ("--seed", {"type": int, "default": 0, "help": "echoed into the output; the certificate ignores it"}),
+)
+def _cmd_rigidity_certificate(problem, args):
     cert = snr_certificate(_require_chain(problem))
     details = cert.details
-    doc = {
-        "command": "rigidity certificate",
+    return {
         "verdict": cert.verdict,
         "checks": dict(cert.checks),
         "witness_cycle": None if details["witness_cycle"] is None else list(details["witness_cycle"]),
@@ -497,7 +503,6 @@ def _cmd_rigidity_certificate(args):
         "input_digest": problem.digest,
         "seed": args.seed,
     }
-    return doc, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -510,86 +515,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Gibbs chains, entropy spectra, and non-rigidity certificates on Markov shifts",
     )
     groups = parser.add_subparsers(dest="group", required=True)
-
-    def command(group, name, handler, options=()):
-        sub = group.add_parser(name)
+    commands = {}  # group name -> its subparsers action
+    for group, name, handler, options in _COMMANDS:
+        if group not in commands:
+            commands[group] = groups.add_parser(group).add_subparsers(dest="command", required=True)
+        sub = commands[group].add_parser(name)
         sub.add_argument("--input", required=True, help="problem file (JSON)")
         for flag, kwargs in options:
             sub.add_argument(flag, **kwargs)
         sub.set_defaults(handler=handler)
-        return sub
-
-    shift = _parser_group(groups, "shift")
-    command(shift, "info", _cmd_shift_info)
-    command(shift, "cycles", _cmd_shift_cycles)
-    command(shift, "amalgamate", _cmd_shift_amalgamate)
-    command(shift, "autos", _cmd_shift_autos)
-
-    gibbs = _parser_group(groups, "gibbs")
-    command(gibbs, "normalize", _cmd_gibbs_normalize)
-    command(gibbs, "measure", _cmd_gibbs_measure, [("--word", {"required": True})])
-    command(gibbs, "entropy", _cmd_gibbs_entropy)
-    command(gibbs, "cohomology", _cmd_gibbs_cohomology, [("--other", {"required": True})])
-
-    spectrum = _parser_group(groups, "spectrum")
-    command(
-        spectrum,
-        "curve",
-        _cmd_spectrum_curve,
-        [
-            ("--qmin", {"type": float, "default": -3.0}),
-            ("--qmax", {"type": float, "default": 3.0}),
-            ("--steps", {"type": int, "default": 25}),
-            ("--table", {"default": None, "help": "also write a q,alpha,entropy CSV table to this path"}),
-        ],
-    )
-    command(
-        spectrum,
-        "compare",
-        _cmd_spectrum_compare,
-        [("--other", {"required": True}), ("--tol", {"type": float, "default": CHAR_POLY_TOL})],
-    )
-
-    rigidity = _parser_group(groups, "rigidity")
-    command(rigidity, "check-g", _cmd_rigidity_check_g)
-    command(
-        rigidity,
-        "sample-g",
-        _cmd_rigidity_sample_g,
-        [
-            ("--samples", {"type": int, "default": 1000}),
-            ("--seed", {"type": int, "default": 0}),
-        ],
-    )
-    command(rigidity, "reconstruct", _cmd_rigidity_reconstruct, [("--values", {"required": True})])
-    command(rigidity, "conjugacy", _cmd_rigidity_conjugacy, [("--other", {"required": True})])
-    command(rigidity, "counterexample", _cmd_rigidity_counterexample)
-    command(
-        rigidity,
-        "certificate",
-        _cmd_rigidity_certificate,
-        [("--seed", {"type": int, "default": 0, "help": "echoed into the output; the certificate ignores it"})],
-    )
     return parser
-
-
-def _parser_group(groups, name):
-    sub = groups.add_parser(name)
-    return sub.add_subparsers(dest="command", required=True)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        doc, code = args.handler(args)
+        result = args.handler(load_problem(args.input), args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    sys.stdout.write(_dumps(doc) + "\n")
+    doc, code = result if isinstance(result, tuple) else (result, EXIT_OK)
+    sys.stdout.write(_dumps({"command": f"{args.group} {args.command}", **doc}) + "\n")
     return code
 
 

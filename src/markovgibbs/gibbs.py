@@ -22,6 +22,7 @@ from .errors import PreconditionError, SolverError
 from .shiftcore import (
     TransitionMatrix,
     ShiftStructure,
+    _require_word_limit,
     _word_rows,
     is_admissible,
     require_primitive,
@@ -391,12 +392,16 @@ def gibbs_ratio_bounds(chain: GibbsChain, potential: Potential, pressure: float,
     the potential along the word's own edges plus one continuation term for
     the final symbol, taken maximal for the lower bound and minimal for the
     upper bound.  Finite positive output certifies the defining Gibbs
-    inequalities at the explored depth.
+    inequalities at the explored depth.  Raises :class:`PreconditionError`,
+    before building anything, when more than ``WORD_LIMIT`` words of length
+    ``max_len`` are admissible.
     """
     if potential.base != chain.base:
         raise PreconditionError("potential and chain must share the base matrix")
     if max_len < 1:
         raise PreconditionError("max_len must be at least 1")
+    # Every symbol has a successor, so word counts never fall with length.
+    _require_word_limit(chain.base, max_len)
     n = chain.n
     fmat = np.zeros((n, n))
     for (i, j), v in potential.values.items():

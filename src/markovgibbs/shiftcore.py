@@ -31,9 +31,6 @@ __all__ = [
     "automorphisms",
 ]
 
-Word = tuple  # alias used in signatures for readability
-Edge = tuple
-
 # The most words ``admissible_words`` builds in one call.  A million words of
 # length L take 8 L MB as an integer array and several times that as tuples,
 # so larger enumerations are refused up front instead of exhausting memory.

@@ -1,9 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from markovgibbs import cli
 from markovgibbs.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 FOUR_MATRIX = {"n": 4, "rows": [[0, 1, 1, 1], [1, 0, 0, 1], [0, 1, 0, 0], [0, 1, 0, 0]]}
 
@@ -313,15 +317,13 @@ class TestRigidityCommands:
 class TestExitCodes:
     def test_numerical_failure_maps_to_3(self, capsys, monkeypatch, matrix_only_file):
         from markovgibbs import SolverError
-        import markovgibbs.cli as cli
 
-        def boom(args):
+        def boom(matrix):
             raise SolverError("synthetic failure")
 
-        monkeypatch.setattr(cli, "_cmd_shift_info", boom)
-        parser_args = ["shift", "info", "--input", matrix_only_file]
-        # the parser binds handlers at build time, so drive main() directly
-        code = cli.main(parser_args)
+        # handlers are registered at import time, so patch the library call
+        monkeypatch.setattr(cli, "structure", boom)
+        code = cli.main(["shift", "info", "--input", matrix_only_file])
         captured = capsys.readouterr()
         assert code == 3
         assert "synthetic failure" in captured.err
@@ -349,3 +351,13 @@ class TestDeterminism:
             code = main(argv)
             assert code == 0
             json.loads(capsys.readouterr().out)
+
+
+class TestReadme:
+    def test_command_lines_match_registry(self):
+        section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+        listed = [
+            tuple(line.split()[1:3]) for line in section.splitlines() if line.startswith("markovgibbs ")
+        ]
+        registered = [(group, name) for group, name, _, _ in cli._COMMANDS]
+        assert listed == registered

@@ -328,6 +328,17 @@ class TestGibbsRatio:
         assert abs(lo10 - lo4) <= 0.1 * lo4
         assert abs(hi10 - hi4) <= 0.1 * hi4
 
+    def test_word_limit_refuses_before_building(self):
+        # the full 6-shift has 6**10 words of length 10, about 4.8 GB as int64
+        full6 = TransitionMatrix(np.ones((6, 6), dtype=int))
+        pot = Potential.constant(full6, 0.0)
+        chain, data = normalize(pot)
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match=f"{6**10} admissible words of length 10"):
+            gibbs_ratio_bounds(chain, pot, math.log(data.root))
+        assert time.perf_counter() - start < 0.5
+        assert chain.base._words == {}
+
 
 class TestKsEntropy:
     def test_uniform_full_shift(self, full2):
