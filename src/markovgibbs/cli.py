@@ -43,6 +43,7 @@ from .gibbs import (
 )
 from .rigidity import (
     ConjugacyObstruction,
+    counterexample_matrix,
     induce_conjugacy,
     reconstruct_word,
     has_distinct_branch_values,
@@ -180,6 +181,8 @@ def load_problem(path: str) -> Problem:
         matrix = TransitionMatrix(rows)
     except PreconditionError as exc:
         raise InputError(f"matrix.rows: {exc}") from exc
+    if matrix == counterexample_matrix():
+        matrix = counterexample_matrix()  # the shared base, whose derived data is computed once
     kind = None
     payload = None
     pot = doc.get("potential")

@@ -281,8 +281,10 @@ class GibbsChain:
             exact = {e: Fraction(v) for e, v in vals.items()}
             if any(v <= 0 for v in exact.values()):
                 raise PreconditionError("edge entries must be positive")
-            for col in range(1, n + 1):
-                s = sum((v for (i, j), v in exact.items() if j == col), Fraction(0))
+            sums = [Fraction(0)] * n
+            for (_, j), v in exact.items():
+                sums[j - 1] += v
+            for col, s in enumerate(sums, start=1):
                 if s != 1:
                     raise PreconditionError(f"column {col} sums to {s}, expected exactly 1")
             q = np.zeros((n, n))

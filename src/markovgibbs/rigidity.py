@@ -345,12 +345,18 @@ def induce_conjugacy(chain_a: GibbsChain, chain_b: GibbsChain):
     return BlockCode(window, table)
 
 
-_COUNTEREXAMPLE_ROWS = ((0, 1, 1, 1), (1, 0, 0, 1), (0, 1, 0, 0), (0, 1, 0, 0))
+_COUNTEREXAMPLE = TransitionMatrix(((0, 1, 1, 1), (1, 0, 0, 1), (0, 1, 0, 0), (0, 1, 0, 0)))
 
 
 def counterexample_matrix() -> TransitionMatrix:
-    """The 4-symbol primitive matrix carrying the spectral-twin construction."""
-    return TransitionMatrix(_COUNTEREXAMPLE_ROWS)
+    """The 4-symbol primitive matrix carrying the spectral-twin construction.
+
+    Every call returns the same shared instance, built once at import.  The
+    matrix is immutable, so sharing it is safe, and what is derived from it
+    (cycles, automorphisms, word tables) is computed once and kept for the
+    life of the process.
+    """
+    return _COUNTEREXAMPLE
 
 
 def _twin_parameters(chain: GibbsChain):

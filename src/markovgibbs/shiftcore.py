@@ -9,7 +9,6 @@ the rotation starting at its smallest symbol.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +39,11 @@ WORD_LIMIT = 1_000_000
 class TransitionMatrix:
     """A zero-one transition matrix with every row and column occupied.
 
-    The matrix is immutable after construction; combinatorial byproducts
-    (edge lists, word tables, primitivity, entropy) are cached lazily on the
-    instance.
+    The matrix is immutable after construction, so everything derived from
+    it alone is computed at most once per instance and cached lazily on it:
+    the edge list, the successor and predecessor tables, primitivity, the
+    in-degree structure, the simple cycles, the automorphism result, the
+    topological entropy and the word tables of each length built so far.
     """
 
     def __init__(self, entries):
@@ -61,11 +62,16 @@ class TransitionMatrix:
         self._primitive = None
         self._structure = None
         self._entropy = None
+        self._edges = None
         self._succ = None
+        self._pred = None
         self._cycles = None
+        self._automorphisms = None
         self._words = {}
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, TransitionMatrix):
             return NotImplemented
         return self.n == other.n and np.array_equal(self.entries, other.entries)
@@ -83,8 +89,10 @@ class TransitionMatrix:
     @property
     def edges(self) -> tuple:
         """All edges ``(i, j)`` in lexicographic order."""
-        rows, cols = np.nonzero(self.entries)
-        return tuple((int(i) + 1, int(j) + 1) for i, j in zip(rows, cols))
+        if self._edges is None:
+            rows, cols = np.nonzero(self.entries)
+            self._edges = tuple((int(i) + 1, int(j) + 1) for i, j in zip(rows, cols))
+        return self._edges
 
     def successors(self, i: int) -> tuple:
         if self._succ is None:
@@ -95,7 +103,12 @@ class TransitionMatrix:
         return self._succ[i - 1]
 
     def predecessors(self, j: int) -> tuple:
-        return tuple(int(i) + 1 for i in np.nonzero(self.entries[:, j - 1])[0])
+        if self._pred is None:
+            self._pred = tuple(
+                tuple(int(i) + 1 for i in np.nonzero(self.entries[:, k])[0])
+                for k in range(self.n)
+            )
+        return self._pred[j - 1]
 
 
 @dataclass(frozen=True)
@@ -328,36 +341,62 @@ def total_amalgamation(matrix: TransitionMatrix):
     return reduced, mapping
 
 
-def automorphisms(matrix: TransitionMatrix) -> AutomorphismResult:
-    """Brute-force search for symbol permutations preserving the matrix.
+def _graph_automorphisms(matrix: TransitionMatrix) -> list:
+    """Symbol permutations ``p`` with ``A[p(i), p(j)] == A[i, j]``, sorted.
 
-    Candidates are restricted to permutations preserving (out-degree,
-    in-degree) signatures before the full entrywise check.  When the graph
-    group is the identity alone and the total amalgamation leaves the
-    matrix unchanged, the shift has no automorphism besides the identity
-    and the result is tagged ``"trivial"``; in every other case the graph
-    group is returned tagged ``"inconclusive"``, since graph symmetry alone
-    does not settle the question for the shift.
+    Backtracking assigns the images of symbols ``1, 2, ...`` in turn, each
+    within its (out-degree, in-degree) class, and keeps a partial
+    assignment only while it preserves adjacency, both ways, between the
+    new symbol and those assigned before it.  A complete assignment then
+    preserves every off-diagonal entry, and equal out-degrees force the
+    diagonal to agree too.  Images are tried in increasing order, so
+    permutations come out lexicographically sorted.
+    """
+    a = matrix.entries.tolist()
+    n = matrix.n
+    signature = [(sum(a[s]), sum(row[s] for row in a)) for s in range(n)]
+    image = [0] * n
+    used = [False] * n
+    found = []
+
+    def extend(s):
+        if s == n:
+            found.append(tuple(t + 1 for t in image))
+            return
+        for t in range(n):
+            if used[t] or signature[t] != signature[s]:
+                continue
+            if any(a[t][image[r]] != a[s][r] or a[image[r]][t] != a[r][s] for r in range(s)):
+                continue
+            image[s] = t
+            used[t] = True
+            extend(s + 1)
+            used[t] = False
+
+    extend(0)
+    return found
+
+
+def automorphisms(matrix: TransitionMatrix) -> AutomorphismResult:
+    """Search for symbol permutations preserving the matrix.
+
+    The graph group is found by backtracking over partial assignments
+    within (out-degree, in-degree) classes (see :func:`_graph_automorphisms`)
+    and is cached on the matrix.  When the graph group is the identity
+    alone and the total amalgamation leaves the matrix unchanged, the shift
+    has no automorphism besides the identity and the result is tagged
+    ``"trivial"``; in every other case the graph group is returned tagged
+    ``"inconclusive"``, since graph symmetry alone does not settle the
+    question for the shift.
     """
     require_primitive(matrix)
+    if matrix._automorphisms is not None:
+        return matrix._automorphisms
     if matrix.n > 10:
         raise PreconditionError("automorphism search is limited to 10 symbols")
-    a = matrix.entries
-    out_deg = a.sum(axis=1)
-    in_deg = a.sum(axis=0)
-    classes = {}
-    for s in range(matrix.n):
-        classes.setdefault((int(out_deg[s]), int(in_deg[s])), []).append(s)
-    class_lists = list(classes.values())
-    perms = []
-    for combo in itertools.product(*[itertools.permutations(c) for c in class_lists]):
-        image = np.empty(matrix.n, dtype=np.int64)
-        for members, targets in zip(class_lists, combo):
-            image[list(members)] = list(targets)
-        if np.array_equal(a[np.ix_(image, image)], a):
-            perms.append(tuple(int(x) + 1 for x in image))
-    perms.sort()
+    perms = _graph_automorphisms(matrix)
     reduced, _ = total_amalgamation(matrix)
     amalgamation_fixed = reduced.n == matrix.n
     status = "trivial" if (amalgamation_fixed and len(perms) == 1) else "inconclusive"
-    return AutomorphismResult(status, tuple(perms))
+    matrix._automorphisms = AutomorphismResult(status, tuple(perms))
+    return matrix._automorphisms

@@ -229,7 +229,12 @@ def char_poly_family_equal(chain_a: GibbsChain, chain_b: GibbsChain, q_grid=None
     [-3, 3]) coefficientwise, with differences measured relative to the
     largest coefficient magnitude at that grid point, against ``tol``; the
     result is then a high-confidence numerical statement rather than a proof.
+    A tolerance that is negative or not finite raises
+    :class:`PreconditionError` in both modes: ``nan`` or a negative value
+    would call every pair unequal, and ``inf`` every pair equal.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise PreconditionError(f"tolerance must be finite and non-negative, got {tol}")
     if chain_a.n != chain_b.n:
         raise PreconditionError("chains must share the alphabet size")
     exact = chain_a.exact is not None and chain_b.exact is not None

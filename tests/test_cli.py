@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from markovgibbs import cli
+from markovgibbs import TransitionMatrix, cli, rigidity
 from markovgibbs.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+DEMO = Path(__file__).resolve().parents[1] / "demos" / "snr_example.json"
 
 FOUR_MATRIX = {"n": 4, "rows": [[0, 1, 1, 1], [1, 0, 0, 1], [0, 1, 0, 0], [0, 1, 0, 0]]}
 
@@ -236,6 +237,19 @@ class TestSpectrumCommands:
             assert doc["equal"] is equal
             assert 1e-7 < doc["max_deviation"] < 1e-5
 
+    def test_compare_rejects_invalid_tol(self, capsys, log_file):
+        base = ("spectrum", "compare", "--input", log_file, "--other", log_file)
+        assert main([*base, "--tol", "1e-10"]) == 0
+        assert capsys.readouterr().out == (
+            '{"command": "spectrum compare", "equal": true, "max_deviation": 0.0, "mode": "numerical", '
+            '"note": "numerical mode compares coefficients on a finite grid; heuristic"}\n'
+        )
+        for tol in ("nan", "-1", "inf"):
+            code, doc, err = run(capsys, *base, "--tol", tol)
+            assert code == 2
+            assert doc is None
+            assert "finite and non-negative" in err
+
 
 class TestRigidityCommands:
     def test_check_g(self, capsys, exact_file):
@@ -341,6 +355,30 @@ class TestDeterminism:
         main(["rigidity", "certificate", "--input", exact_file])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_cold_and_warm_shared_base_give_identical_output(self, capsys, monkeypatch, tmp_path):
+        demo = str(DEMO)
+        _, twin_doc, _ = run(capsys, "rigidity", "counterexample", "--input", demo)
+        twin_path = tmp_path / "twin.json"
+        twin_path.write_text(json.dumps({"matrix": twin_doc["matrix"], "potential": twin_doc["potential"]}))
+        commands = (
+            ["rigidity", "certificate", "--input", demo],
+            ["rigidity", "counterexample", "--input", demo],
+            ["spectrum", "compare", "--input", demo, "--other", str(twin_path)],
+            ["shift", "autos", "--input", demo],
+            ["shift", "amalgamate", "--input", demo],
+        )
+        cold = TransitionMatrix(rigidity.counterexample_matrix().entries)
+        monkeypatch.setattr(rigidity, "_COUNTEREXAMPLE", cold)
+        runs = []
+        for _ in range(2):
+            outputs = []
+            for argv in commands:
+                assert main(argv) == 0
+                outputs.append(capsys.readouterr().out)
+            runs.append(outputs)
+            assert cold._automorphisms is not None and cold._cycles is not None
+        assert runs[0] == runs[1]
 
     def test_documents_reparse(self, capsys, exact_file, matrix_only_file):
         for argv in (

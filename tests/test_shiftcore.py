@@ -1,11 +1,19 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from markovgibbs import (
+    AutomorphismResult,
     PreconditionError,
     TransitionMatrix,
     admissible_words,
     automorphisms,
+    counterexample_matrix,
     cycle_intersection_condition,
     is_admissible,
     is_primitive,
@@ -16,6 +24,43 @@ from markovgibbs import (
 from markovgibbs.shiftcore import WORD_LIMIT, _word_count
 
 from conftest import random_primitive_matrix
+
+
+def _circulant(n, offsets):
+    entries = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        for offset in offsets:
+            entries[i, (i + offset) % n] = 1
+    return TransitionMatrix(entries)
+
+
+@st.composite
+def primitive_bases(draw, max_n):
+    """Primitive bases on 2 to ``max_n`` symbols: a free zero-one matrix, or,
+    for bases with many symmetries, a circulant."""
+    n = draw(st.integers(2, max_n))
+    if draw(st.booleans()):
+        matrix = _circulant(n, draw(st.sets(st.integers(0, n - 1), min_size=2)))
+    else:
+        entries = draw(hnp.arrays(np.int64, (n, n), elements=st.integers(0, 1)))
+        assume(entries.sum(axis=0).all() and entries.sum(axis=1).all())
+        matrix = TransitionMatrix(entries)
+    assume(is_primitive(matrix))
+    return matrix
+
+
+def _brute_force_automorphisms(matrix):
+    """Every permutation of S_n tried on the full matrix, then tagged as
+    :func:`automorphisms` documents."""
+    a = matrix.entries
+    perms = sorted(
+        tuple(s + 1 for s in perm)
+        for perm in itertools.permutations(range(matrix.n))
+        if np.array_equal(a[np.ix_(perm, perm)], a)
+    )
+    reduced, _ = total_amalgamation(matrix)
+    trivial = reduced.n == matrix.n and len(perms) == 1
+    return AutomorphismResult("trivial" if trivial else "inconclusive", tuple(perms))
 
 
 class TestTransitionMatrix:
@@ -263,16 +308,51 @@ class TestAutomorphisms:
             automorphisms(big)
 
     def test_matches_unpruned_search(self):
-        # oracle: enumerate all of S_n without the degree-class restriction
-        import itertools
-
         rng = np.random.default_rng(29)
         for _ in range(10):
             matrix = random_primitive_matrix(rng, int(rng.integers(2, 6)))
-            a = matrix.entries
-            expected = {
-                tuple(s + 1 for s in perm)
-                for perm in itertools.permutations(range(matrix.n))
-                if np.array_equal(a[np.ix_(perm, perm)], a)
-            }
-            assert set(automorphisms(matrix).permutations) == expected
+            assert automorphisms(matrix) == _brute_force_automorphisms(matrix)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(primitive_bases(max_n=6))
+    def test_matches_brute_force_on_generated_bases(self, matrix):
+        assert automorphisms(matrix) == _brute_force_automorphisms(matrix)
+
+    def test_nine_symbol_circulant_is_fast(self):
+        matrix = _circulant(9, (0, 1, 3))
+        is_primitive(matrix)
+        start = time.perf_counter()
+        result = automorphisms(matrix)
+        assert time.perf_counter() - start < 0.5
+        assert result.status == "inconclusive"
+        assert len(result.permutations) == 9  # the rotations alone
+
+
+class TestCachedData:
+    def test_neighbor_tables_match_nonzero(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            matrix = random_primitive_matrix(rng, int(rng.integers(2, 9)))
+            rows, cols = np.nonzero(matrix.entries)
+            assert matrix.edges == tuple((int(i) + 1, int(j) + 1) for i, j in zip(rows, cols))
+            assert matrix.edges is matrix.edges
+            for s in range(1, matrix.n + 1):
+                assert matrix.successors(s) == tuple(int(j) + 1 for j in np.nonzero(matrix.entries[s - 1])[0])
+                assert matrix.predecessors(s) == tuple(int(i) + 1 for i in np.nonzero(matrix.entries[:, s - 1])[0])
+
+    def test_automorphisms_are_memoized(self):
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            matrix = random_primitive_matrix(rng, int(rng.integers(2, 7)))
+            result = automorphisms(matrix)
+            assert automorphisms(matrix) is result
+            assert automorphisms(TransitionMatrix(matrix.entries)) == result
+
+    def test_counterexample_matrix_is_one_read_only_instance(self):
+        shared = counterexample_matrix()
+        assert counterexample_matrix() is shared
+        assert shared == TransitionMatrix(shared.entries)
+        assert not shared.entries.flags.writeable
+        with pytest.raises(ValueError):
+            shared.entries[0, 0] = 1
+

@@ -220,6 +220,16 @@ class TestCharPolyFamilyEqual:
         with pytest.raises(PreconditionError):
             char_poly_family_equal(fixture_chain, uniform_full2)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+    def test_rejects_invalid_tolerance_in_both_modes(self, four_matrix, fixture_chain, tol):
+        exact = GibbsChain.from_stochastic(four_matrix, {e: Fraction(v).limit_denominator() for e, v in FIXTURE_VALUES.items()})
+        for chain in (fixture_chain, exact):
+            with pytest.raises(PreconditionError, match="finite and non-negative"):
+                char_poly_family_equal(chain, chain, tol=tol)
+
+    def test_zero_tolerance_is_valid(self, fixture_chain):
+        assert char_poly_family_equal(fixture_chain, fixture_chain, tol=0.0) == (True, 0.0)
+
     def test_exact_comparison_against_integer_grid_oracle(self, four_matrix):
         # independent oracle: at integer powers rational arithmetic is closed,
         # so the characteristic polynomial of the powered matrix is exact; the
