@@ -34,6 +34,7 @@ import numpy as np
 from . import __version__
 from .errors import PreconditionError, SolverError
 from .gibbs import (
+    Comparison,
     GibbsChain,
     Potential,
     cohomologous_with_constant,
@@ -125,10 +126,6 @@ class Problem:
         self.potential_kind = potential_kind  # None | "log_values" | "q_matrix"
         self.potential_payload = potential_payload
         self.digest = digest
-
-    @property
-    def mode(self) -> str:
-        return "exact" if self.potential_kind == "q_matrix" else "numerical"
 
 
 def _parse_rational(cell, where):
@@ -247,11 +244,9 @@ def _matrix_doc(matrix: TransitionMatrix) -> dict:
 
 
 def _chain_potential_doc(chain: GibbsChain) -> dict:
-    if chain.exact is not None:
-        return {"q_matrix": _edge_grid(chain.base, lambda i, j: chain.exact[(i, j)])}
-    return {
-        "log_values": _edge_grid(chain.base, lambda i, j: math.log(chain.value(i, j)))
-    }
+    if Comparison.of(chain).exact:
+        return {"q_matrix": _edge_grid(chain.base, lambda i, j: chain.entries[(i, j)])}
+    return {"log_values": _edge_grid(chain.base, lambda i, j: math.log(chain.value(i, j)))}
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +317,12 @@ def _cmd_gibbs_normalize(problem, args):
         chain, data = normalize(_require_potential(problem))
         root, left = data.root, list(data.left)
     return {
-        "mode": problem.mode,
+        "mode": Comparison.of(chain).mode,
         "perron_root": root,
         "left_eigenvector": left,
         "stochastic_matrix": [list(row) for row in chain.q],
         "stationary": list(chain.pi),
-        "normalized_log_values": _edge_grid(
-            chain.base, lambda i, j: math.log(chain.value(i, j))
-        ),
+        "normalized_log_values": _edge_grid(chain.base, lambda i, j: math.log(chain.value(i, j))),
     }
 
 
@@ -397,13 +390,9 @@ def _cmd_spectrum_compare(problem, args):
     chain_a = _require_chain(problem)
     chain_b = _require_chain(other)
     equal, deviation = char_poly_family_equal(chain_a, chain_b, tol=args.tol)
-    exact = chain_a.exact is not None and chain_b.exact is not None
-    doc = {
-        "equal": equal,
-        "max_deviation": deviation,
-        "mode": "exact" if exact else "numerical",
-    }
-    if not exact:
+    comparison = Comparison.of(chain_a, chain_b)
+    doc = {"equal": equal, "max_deviation": deviation, "mode": comparison.mode}
+    if not comparison.exact:
         doc["note"] = "numerical mode compares coefficients on a finite grid; heuristic"
     return doc
 
@@ -413,7 +402,7 @@ def _cmd_rigidity_check_g(problem, args):
     chain = _require_chain(problem)
     distinct, collision = has_distinct_branch_values(chain)
     return {
-        "mode": problem.mode,
+        "mode": Comparison.of(chain).mode,
         "distinct": distinct,
         "collision": None if collision is None else [list(collision[0]), list(collision[1])],
     }

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .shiftcore import (
     simple_cycles,
     structure,
 )
-from .tolerances import COLUMN_SUM_TOL, CYCLE_SUM_TOL, RESIDUAL_TOL
+from .tolerances import COLUMN_SUM_TOL, CYCLE_SUM_TOL, RESIDUAL_TOL, VALUE_MATCH_TOL
 
 __all__ = [
     "Potential",
@@ -133,6 +136,21 @@ def _fail_first(failed: np.ndarray, k: int, describe, stacked: bool) -> None:
         raise SolverError(f"stack member {member}: {message}" if stacked else message)
 
 
+def _linalg(solve, what: str, k: int, stacked: bool, *stacks):
+    """``solve(*stacks)``; a ``LinAlgError`` becomes :class:`SolverError` on the first member failing alone."""
+    try:
+        return solve(*stacks)
+    except np.linalg.LinAlgError as exc:
+        failed = np.zeros(len(stacks[0]), dtype=bool)
+        for i in range(len(failed)):
+            try:
+                solve(*(s[i : i + 1] for s in stacks))
+            except np.linalg.LinAlgError:
+                failed[i] = True
+        _fail_first(failed, k, lambda i: f"{what} failed: {exc}", stacked)
+        raise SolverError(f"{what} failed: {exc}") from exc
+
+
 def _dominant(m: np.ndarray, stacked: bool):
     """Dominant eigenpairs of ``k`` matrices followed by their ``k`` transposes.
 
@@ -142,9 +160,9 @@ def _dominant(m: np.ndarray, stacked: bool):
     matrices, so one Newton step on the bordered system
     ``[[m - root*I, -v], [1, 0]]`` polishes each pair.
     """
-    values, vectors = np.linalg.eig(m)
-    count, n = values.shape
+    count, n = len(m), m.shape[1]
     k = count // 2
+    values, vectors = _linalg(np.linalg.eig, "eigensolve", k, stacked, m)
     rows = np.arange(count)
     top = values.real.argmax(axis=1)
     lead = values[rows, top]
@@ -161,7 +179,7 @@ def _dominant(m: np.ndarray, stacked: bool):
     border[:, n, n] = 0.0
     rhs = np.zeros((count, n + 1, 1))
     rhs[:, :n, 0] = root[:, None] * vector - (m @ vector[:, :, None])[:, :, 0]
-    step = np.linalg.solve(border, rhs)[:, :, 0]
+    step = _linalg(np.linalg.solve, "Newton step", k, stacked, border, rhs)[:, :, 0]
     vector += step[:, :n]
     _fail_first(~(vector.min(axis=1) > 0), k, lambda i: "eigenvectors are not strictly positive", stacked)
     moduli = np.abs(values)
@@ -229,6 +247,36 @@ def perron(matrix) -> PerronData:
     return PerronData(float(root[0]), u[0], right[0], float(residual[0]), float(gap[0]))
 
 
+@dataclass(frozen=True)
+class Comparison:
+    """Exact (``==``) or numerical (relative ``VALUE_MATCH_TOL``) comparison of chain entries.
+
+    :meth:`of` decides once per operation, from every chain taking part: exact only when all carry Fractions.
+    """
+
+    exact: bool
+    mode: str
+    same: Callable
+
+    @staticmethod
+    def of(*chains) -> "Comparison":
+        return EXACT if all(chain.exact is not None for chain in chains) else NUMERICAL
+
+    def unmatched(self, xs, ys):
+        """Sorted distinct values of ``xs`` that match none of ``ys``, and the reverse."""
+        if self.exact:
+            xs, ys = set(xs), set(ys)
+            return tuple(sorted(xs - ys)), tuple(sorted(ys - xs))
+        xs, ys = [float(x) for x in xs], [float(y) for y in ys]
+        only_x = {x for x in xs if not any(self.same(x, y) for y in ys)}
+        only_y = {y for y in ys if not any(self.same(y, x) for x in xs)}
+        return tuple(sorted(only_x)), tuple(sorted(only_y))
+
+
+EXACT = Comparison(True, "exact", operator.eq)
+NUMERICAL = Comparison(False, "numerical", lambda x, y: abs(x - y) <= VALUE_MATCH_TOL * max(abs(x), abs(y)))
+
+
 class GibbsChain:
     """Column-stochastic matrix of a Gibbs measure plus its stationary vector.
 
@@ -275,26 +323,21 @@ class GibbsChain:
         vals = {(int(i), int(j)): v for (i, j), v in dict(entries).items()}
         if set(vals) != set(base.edges):
             raise PreconditionError("entries must be given exactly on the edges")
-        exact_mode = all(isinstance(v, (Fraction, int, numbers.Integral)) for v in vals.values())
-        n = base.n
-        if exact_mode:
+        exact = None
+        if all(isinstance(v, (Fraction, int, numbers.Integral)) for v in vals.values()):
             exact = {e: Fraction(v) for e, v in vals.items()}
             if any(v <= 0 for v in exact.values()):
                 raise PreconditionError("edge entries must be positive")
-            sums = [Fraction(0)] * n
+            sums = [Fraction(0)] * base.n
             for (_, j), v in exact.items():
                 sums[j - 1] += v
             for col, s in enumerate(sums, start=1):
                 if s != 1:
                     raise PreconditionError(f"column {col} sums to {s}, expected exactly 1")
-            q = np.zeros((n, n))
-            for (i, j), v in exact.items():
-                q[i - 1, j - 1] = float(v)
-        else:
-            exact = None
-            q = np.zeros((n, n))
-            for (i, j), v in vals.items():
-                q[i - 1, j - 1] = float(v)
+        q = np.zeros((base.n, base.n))
+        for (i, j), v in vals.items():
+            q[i - 1, j - 1] = float(v)
+        if exact is None:
             sums = q.sum(axis=0)
             if np.abs(sums - 1.0).max() > COLUMN_SUM_TOL:
                 raise PreconditionError(f"columns must sum to 1 within {COLUMN_SUM_TOL:.3g}")
@@ -319,19 +362,19 @@ class GibbsChain:
             raise PreconditionError(f"({i}, {j}) is not an edge")
         return float(self.q[i - 1, j - 1])
 
-    def exact_value(self, i: int, j: int):
-        """Exact entry on an edge, or None when the chain is numeric."""
-        if self.exact is None:
-            return None
-        return self.exact[(i, j)]
+    @cached_property
+    def entries(self) -> dict:
+        """Entry on each edge: the exact Fraction when present, else the float."""
+        if self.exact is not None:
+            return self.exact
+        return {(i, j): float(self.q[i - 1, j - 1]) for i, j in self.base.edges}
 
     def normalized_potential(self) -> Potential:
         """The potential ``log q`` on edges; its stochasticization is the chain itself."""
         return Potential(self.base, {e: math.log(self.q[e[0] - 1, e[1] - 1]) for e in self.base.edges})
 
     def __repr__(self):
-        mode = "exact" if self.exact is not None else "numeric"
-        return f"GibbsChain(n={self.n}, {mode})"
+        return f"GibbsChain(n={self.n}, {Comparison.of(self).mode})"
 
 
 def _stationary(q: np.ndarray) -> np.ndarray:
@@ -465,11 +508,11 @@ def chains_cohomologous(chain_a: GibbsChain, chain_b: GibbsChain):
     """
     if chain_a.base != chain_b.base:
         raise PreconditionError("chains must share the base matrix")
-    exact = chain_a.exact is not None and chain_b.exact is not None
+    exact = Comparison.of(chain_a, chain_b).exact
     for cycle in simple_cycles(chain_a.base):
         if exact:
-            prod_a = math.prod((chain_a.exact[(i, j)] for i, j in zip(cycle, cycle[1:])), start=Fraction(1))
-            prod_b = math.prod((chain_b.exact[(i, j)] for i, j in zip(cycle, cycle[1:])), start=Fraction(1))
+            prod_a = math.prod((chain_a.entries[(i, j)] for i, j in zip(cycle, cycle[1:])), start=Fraction(1))
+            prod_b = math.prod((chain_b.entries[(i, j)] for i, j in zip(cycle, cycle[1:])), start=Fraction(1))
             if prod_a != prod_b:
                 return False, cycle
         elif abs(cycle_sum(chain_a, cycle) - cycle_sum(chain_b, cycle)) > CYCLE_SUM_TOL:

@@ -12,7 +12,6 @@ finite checks witnessing that phenomenon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .errors import (
     ReconstructionError,
     WrongBaseError,
 )
-from .gibbs import GibbsChain, Potential, chains_cohomologous, normalize
+from .gibbs import NUMERICAL, Comparison, GibbsChain, Potential, chains_cohomologous, normalize
 from .shiftcore import TransitionMatrix, _require_word_limit, admissible_words, automorphisms
 from .spectrum import char_poly_family_equal
 from .tolerances import CHAR_POLY_TOL, CYCLE_SUM_TOL, VALUE_MATCH_TOL
@@ -43,24 +42,18 @@ __all__ = [
 ]
 
 
-def _close(x: float, y: float) -> bool:
-    return abs(x - y) <= VALUE_MATCH_TOL * max(abs(x), abs(y))
-
-
 def _is_one(x: float) -> bool:
     return abs(x - 1.0) <= VALUE_MATCH_TOL
 
 
 def _branch_items(chain: GibbsChain) -> list:
-    """(edge, value) pairs over the branch edges, exact when available.
+    """(edge, entry) pairs over the branch edges, exact when available.
 
     Edges are ordered column by column (branch values are a per-column
     affair), which also fixes which colliding pair is reported first.
     """
-    edges = sorted(chain.structure.branch_edges, key=lambda e: (e[1], e[0]))
-    if chain.exact is not None:
-        return [(e, chain.exact[e]) for e in edges]
-    return [(e, chain.value(*e)) for e in edges]
+    entries = chain.entries
+    return [(e, entries[e]) for e in sorted(chain.structure.branch_edges, key=lambda e: (e[1], e[0]))]
 
 
 def has_distinct_branch_values(chain: GibbsChain):
@@ -71,11 +64,10 @@ def has_distinct_branch_values(chain: GibbsChain):
     exactly what makes entry streams decodable back into words.
     """
     items = _branch_items(chain)
-    exact = chain.exact is not None
+    same = Comparison.of(chain).same
     for b in range(len(items)):  # report the first edge duplicating an earlier one
         for a in range(b):
-            same = items[a][1] == items[b][1] if exact else _close(items[a][1], items[b][1])
-            if same:
+            if same(items[a][1], items[b][1]):
                 return False, (items[a][0], items[b][0])
     return True, None
 
@@ -102,8 +94,9 @@ def sampled_distinct_fraction(matrix: TransitionMatrix, n_samples: int, seed: in
 
 
 def _lookup(items, v: float) -> tuple:
-    """The one branch edge whose value matches ``v``."""
-    matches = [e for e, bv in items if _close(v, bv)]
+    """The one branch edge whose value matches ``v``; a read stream compares numerically."""
+    same = NUMERICAL.same
+    matches = [e for e, bv in items if same(v, bv)]
     if len(matches) > 1:
         raise ReconstructionError("not_in_G", f"value {v} matches several branch edges")
     if not matches:
@@ -203,18 +196,9 @@ class ConjugacyObstruction:
 
 def _branch_value_sets_match(chain_a: GibbsChain, chain_b: GibbsChain):
     """Compare branch values as sets; returns (match, missing_from_b, missing_from_a)."""
-    exact = chain_a.exact is not None and chain_b.exact is not None
-    vals_a = [v for _, v in _branch_items(chain_a)]
-    vals_b = [v for _, v in _branch_items(chain_b)]
-    if exact:
-        set_a, set_b = set(vals_a), set(vals_b)
-        missing_b = tuple(sorted(set_a - set_b))
-        missing_a = tuple(sorted(set_b - set_a))
-        return (not missing_a and not missing_b), missing_b, missing_a
-    fa = [float(v) for v in vals_a]
-    fb = [float(v) for v in vals_b]
-    missing_b = tuple(sorted({v for v in fa if not any(_close(v, w) for w in fb)}))
-    missing_a = tuple(sorted({w for w in fb if not any(_close(w, v) for v in fa)}))
+    missing_b, missing_a = Comparison.of(chain_a, chain_b).unmatched(
+        [v for _, v in _branch_items(chain_a)], [v for _, v in _branch_items(chain_b)]
+    )
     return (not missing_a and not missing_b), missing_b, missing_a
 
 
@@ -363,16 +347,8 @@ def _twin_parameters(chain: GibbsChain):
     """Column entries (a1, a2, a3, b1, b2) of a chain over the 4-symbol base."""
     if chain.base != counterexample_matrix():
         raise WrongBaseError("the spectral twin is defined over the dedicated 4-symbol matrix")
-    if chain.exact is not None:
-        e = chain.exact
-        return e[(1, 2)], e[(3, 2)], e[(4, 2)], e[(1, 4)], e[(2, 4)]
-    return (
-        chain.value(1, 2),
-        chain.value(3, 2),
-        chain.value(4, 2),
-        chain.value(1, 4),
-        chain.value(2, 4),
-    )
+    e = chain.entries
+    return e[(1, 2)], e[(3, 2)], e[(4, 2)], e[(1, 4)], e[(2, 4)]
 
 
 def spectral_twin_chain(chain: GibbsChain) -> GibbsChain:
@@ -387,19 +363,14 @@ def spectral_twin_chain(chain: GibbsChain) -> GibbsChain:
     where the construction returns the original measure.
     """
     a1, a2, a3, b1, b2 = _twin_parameters(chain)
-    exact = chain.exact is not None
-    if exact:
-        if a2 == a3 * b1:
-            raise DegenerateError("a2 equals a3 * b1; the twin would be cohomologous")
-        one = Fraction(1)
-    else:
-        if _close(a2, a3 * b1):
-            raise DegenerateError("a2 equals a3 * b1 within tolerance; the twin would be cohomologous")
-        one = 1.0
-    c = one - a1 - a3 * b1
+    comparison = Comparison.of(chain)
+    if comparison.same(a2, a3 * b1):
+        within = "" if comparison.exact else " within tolerance"
+        raise DegenerateError(f"a2 equals a3 * b1{within}; the twin would be cohomologous")
+    c = 1 - a1 - a3 * b1
     entries = {
-        (2, 1): one,
-        (1, 3): one,
+        (2, 1): 1,
+        (1, 3): 1,
         (1, 2): a1,
         (3, 2): a3 * b1,
         (4, 2): c,
@@ -478,7 +449,7 @@ def snr_certificate(source) -> SNRCertificate:
         "automorphism_status": auto.status,
         "missing_from_g": tuple(float(v) for v in missing_g),
         "missing_from_f": tuple(float(v) for v in missing_f),
-        "mode": "exact" if (chain_f.exact is not None and chain_g.exact is not None) else "numerical",
+        "mode": Comparison.of(chain_f, chain_g).mode,
         "tolerances": {
             "value_match": VALUE_MATCH_TOL,
             "char_poly_coefficients": CHAR_POLY_TOL,

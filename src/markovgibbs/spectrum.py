@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError, SolverError
-from .gibbs import GibbsChain, perron
+from .gibbs import Comparison, GibbsChain, perron
 from .shiftcore import TransitionMatrix, simple_cycles
 from .tolerances import CHAR_POLY_TOL, DIAGONAL_TOL, SPECTRUM_TOL
 
@@ -193,7 +193,7 @@ def _signed_cycle_profile(chain: GibbsChain) -> dict:
     cycles = simple_cycles(chain.base)
     vertex_sets = [frozenset(c[:-1]) for c in cycles]
     weights = [
-        math.prod((chain.exact[(i, j)] for i, j in zip(c, c[1:])), start=Fraction(1))
+        math.prod((chain.entries[(i, j)] for i, j in zip(c, c[1:])), start=Fraction(1))
         for c in cycles
     ]
     sizes = [len(c) - 1 for c in cycles]
@@ -210,12 +210,8 @@ def _signed_cycle_profile(chain: GibbsChain) -> dict:
             extend(idx + 1, used | vertex_sets[idx], new_size, new_weight, count + 1)
 
     extend(0, frozenset(), 0, Fraction(1), 0)
-    pruned = {}
-    for size, bucket in profile.items():
-        kept = {w: c for w, c in bucket.items() if c != 0}
-        if kept:
-            pruned[size] = kept
-    return pruned
+    kept = {size: {w: c for w, c in bucket.items() if c != 0} for size, bucket in profile.items()}
+    return {size: bucket for size, bucket in kept.items() if bucket}
 
 
 def char_poly_family_equal(chain_a: GibbsChain, chain_b: GibbsChain, q_grid=None, tol: float = CHAR_POLY_TOL):
@@ -237,7 +233,7 @@ def char_poly_family_equal(chain_a: GibbsChain, chain_b: GibbsChain, q_grid=None
         raise PreconditionError(f"tolerance must be finite and non-negative, got {tol}")
     if chain_a.n != chain_b.n:
         raise PreconditionError("chains must share the alphabet size")
-    exact = chain_a.exact is not None and chain_b.exact is not None
+    exact = Comparison.of(chain_a, chain_b).exact
     if exact and _signed_cycle_profile(chain_a) == _signed_cycle_profile(chain_b):
         return True, 0.0
     grid = DEFAULT_Q_GRID if q_grid is None else tuple(float(q) for q in q_grid)

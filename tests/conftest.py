@@ -20,6 +20,25 @@ FIXTURE_VALUES = {
     (2, 4): 0.6,
 }
 
+# Log edge values (None off the edges) of a 12-symbol chain whose q = -20 member of the
+# powered family makes the batched bordered Newton solve in ``perron`` exactly singular.
+# Drawn as in ``random_primitive_matrix(default_rng(194), 12)`` with U[-4, 4] values,
+# rounded to one decimal.
+SINGULAR_NEWTON_LOG_VALUES = [
+    [None, None, 1.0, None, None, None, 0.5, -2.7, None, None, None, -2.4],
+    [-3.6, None, 0.8, None, None, None, None, None, None, -2.2, None, None],
+    [-0.5, None, None, 0.1, None, None, None, None, None, None, None, None],
+    [None, None, None, None, -1.0, 3.2, None, -0.4, None, 1.0, 1.6, None],
+    [-3.1, None, None, 3.8, None, -0.3, None, None, None, None, None, None],
+    [0.5, None, 2.7, None, None, -2.4, None, None, 0.3, None, None, 1.1],
+    [2.2, None, None, None, None, None, -2.2, None, None, None, None, -3.2],
+    [3.9, None, None, None, None, None, None, -2.6, None, -2.2, -3.3, -2.2],
+    [None, None, None, -3.3, 4.0, None, None, None, -0.4, -2.0, 2.0, None],
+    [None, 1.7, -3.8, None, None, -3.4, -0.3, -1.8, None, None, -1.8, -2.6],
+    [None, -2.2, None, None, None, None, None, 3.0, None, 3.0, 3.8, None],
+    [3.7, None, None, None, None, 2.0, None, -2.1, None, None, None, None],
+]
+
 
 @pytest.fixture
 def four_matrix():

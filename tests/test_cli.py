@@ -7,6 +7,8 @@ import pytest
 from markovgibbs import TransitionMatrix, cli, rigidity
 from markovgibbs.cli import main
 
+from conftest import SINGULAR_NEWTON_LOG_VALUES
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 DEMO = Path(__file__).resolve().parents[1] / "demos" / "snr_example.json"
 
@@ -224,6 +226,14 @@ class TestSpectrumCommands:
         assert doc["mode"] == "numerical"
         assert "note" in doc
 
+    def test_compare_mixed_inputs_is_numerical(self, capsys, exact_file, log_file):
+        for first, second in ((exact_file, log_file), (log_file, exact_file)):
+            code, doc, _ = run(capsys, "spectrum", "compare", "--input", first, "--other", second)
+            assert code == 0
+            assert doc["equal"] is True
+            assert doc["mode"] == "numerical"
+            assert doc["note"] == "numerical mode compares coefficients on a finite grid; heuristic"
+
     def test_compare_tol_sets_the_bound(self, capsys, log_file, tmp_path):
         grid = log_values_grid()
         grid[0][1] += 1e-6  # edge (1, 2)
@@ -341,6 +351,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 3
         assert "synthetic failure" in captured.err
+
+    def test_singular_newton_step_exits_3(self, capsys, tmp_path):
+        rows = [[int(v is not None) for v in row] for row in SINGULAR_NEWTON_LOG_VALUES]
+        path = tmp_path / "singular.json"
+        potential = {"log_values": SINGULAR_NEWTON_LOG_VALUES}
+        path.write_text(json.dumps({"matrix": {"n": 12, "rows": rows}, "potential": potential}))
+        code, doc, err = run(
+            capsys, "spectrum", "curve", "--input", str(path), "--qmin", "-20", "--qmax", "20", "--steps", "41"
+        )
+        assert code == 3
+        assert doc is None
+        assert err == "numerical failure: stack member 0: Newton step failed: Singular matrix\n"
 
     def test_word_symbol_out_of_range(self, capsys, exact_file):
         code, _, err = run(capsys, "gibbs", "measure", "--input", exact_file, "--word", "195")

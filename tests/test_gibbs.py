@@ -25,6 +25,7 @@ from markovgibbs import (
     structure,
     weight_matrix,
 )
+from markovgibbs.gibbs import EXACT, NUMERICAL, Comparison, _linalg
 from markovgibbs.shiftcore import _word_rows
 
 from conftest import (
@@ -81,6 +82,20 @@ class TestWeightMatrix:
 
 
 class TestPerron:
+    def test_linalg_failure_names_the_first_failing_member(self):
+        def solve(stack):
+            if (stack[:, 0, 0] < 0).any():
+                raise np.linalg.LinAlgError("synthetic")
+            return stack
+
+        stack = np.ones((4, 1, 1))
+        stack[3] = -1.0  # the transpose of member 1
+        with pytest.raises(SolverError, match="^stack member 1: eigensolve failed: synthetic$"):
+            _linalg(solve, "eigensolve", 2, True, stack)
+        with pytest.raises(SolverError, match="^eigensolve failed: synthetic$"):
+            _linalg(solve, "eigensolve", 1, False, stack[2:])
+        assert _linalg(solve, "eigensolve", 2, True, np.ones((4, 1, 1))).shape == (4, 1, 1)
+
     def test_full_shift(self, full2):
         data = perron(full2.entries)
         assert data.root == pytest.approx(2.0, abs=1e-12)
@@ -234,6 +249,9 @@ class TestNormalize:
                     assert value == 1.0
 
 
+GOLDEN_EXACT = {(1, 2): Fraction(1, 3), (2, 2): Fraction(2, 3), (2, 1): 1}
+
+
 class TestGibbsChainConstruction:
     def test_rejects_imprimitive_base(self):
         swap = TransitionMatrix([[0, 1], [1, 0]])
@@ -264,6 +282,50 @@ class TestGibbsChainConstruction:
     def test_rejects_bad_column_sum(self, golden_mean):
         with pytest.raises(PreconditionError):
             GibbsChain.from_stochastic(golden_mean, {(1, 2): 0.4, (2, 2): 0.7, (2, 1): 1.0})
+
+    def test_exact_column_error_names_the_first_failing_column(self, golden_mean):
+        entries = {(1, 2): Fraction(1, 3), (2, 2): Fraction(1, 2), (2, 1): Fraction(1, 2)}
+        with pytest.raises(PreconditionError, match="column 1 sums to 1/2, expected exactly 1"):
+            GibbsChain.from_stochastic(golden_mean, entries)
+
+    def test_entries_follow_the_chain(self, golden_mean):
+        exact = GibbsChain.from_stochastic(golden_mean, GOLDEN_EXACT)
+        floating = GibbsChain.from_stochastic(golden_mean, {(1, 2): 0.25, (2, 2): 0.75, (2, 1): 1.0})
+        assert exact.entries == {(1, 2): Fraction(1, 3), (2, 1): Fraction(1), (2, 2): Fraction(2, 3)}
+        assert floating.entries == {e: floating.value(*e) for e in golden_mean.edges}
+        assert all(type(v) is float for v in floating.entries.values())
+        assert floating.entries is floating.entries
+
+    def test_repr_names_the_comparison_mode(self, golden_mean):
+        exact = GibbsChain.from_stochastic(golden_mean, GOLDEN_EXACT)
+        floating = GibbsChain.from_stochastic(golden_mean, {(1, 2): 0.25, (2, 2): 0.75, (2, 1): 1.0})
+        assert repr(exact) == "GibbsChain(n=2, exact)"
+        assert repr(floating) == "GibbsChain(n=2, numerical)"
+
+
+class TestComparison:
+    def test_exact_only_when_every_chain_is_exact(self, fixture_chain, four_matrix):
+        rational = {e: Fraction(str(v)) for e, v in FIXTURE_VALUES.items()}
+        exact = GibbsChain.from_stochastic(four_matrix, rational)
+        assert Comparison.of(exact) is EXACT and Comparison.of(exact, exact) is EXACT
+        assert Comparison.of(fixture_chain) is NUMERICAL
+        assert Comparison.of(exact, fixture_chain) is NUMERICAL
+        assert Comparison.of(fixture_chain, exact) is NUMERICAL
+        assert (EXACT.exact, EXACT.mode) == (True, "exact")
+        assert (NUMERICAL.exact, NUMERICAL.mode) == (False, "numerical")
+
+    def test_same(self):
+        assert EXACT.same(Fraction(1, 3), Fraction(1, 3))
+        assert not EXACT.same(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**12))
+        assert NUMERICAL.same(0.3, 0.3 * (1 + 1e-10))
+        assert not NUMERICAL.same(0.3, 0.3 * (1 + 1e-8))
+
+    def test_unmatched_returns_both_directions(self):
+        xs = [Fraction(1, 5), Fraction(3, 10), Fraction(1, 5)]
+        ys = [Fraction(1, 5), Fraction(1, 2)]
+        assert EXACT.unmatched(xs, ys) == ((Fraction(3, 10),), (Fraction(1, 2),))
+        assert NUMERICAL.unmatched(xs, [0.2 * (1 + 1e-12), 0.5]) == ((0.3,), (0.5,))
+        assert NUMERICAL.unmatched([0.2, 0.2], [0.2]) == ((), ())
 
 
 class TestCylinderMeasure:

@@ -20,6 +20,7 @@ from markovgibbs import (
     ReconstructionError,
     TransitionMatrix,
     WrongBaseError,
+    counterexample_matrix,
     has_distinct_branch_values,
     induce_conjugacy,
     normalize,
@@ -417,6 +418,52 @@ class TestConjugacyMatchesReference:
     def test_same_code_or_obstruction(self, pairs):
         for chain_a, chain_b in pairs:
             assert _outcome(induce_conjugacy, chain_a, chain_b) == _outcome(_reference_conjugacy, chain_a, chain_b)
+
+
+TWIN_EDGES = ((1, 2), (3, 2), (4, 2), (1, 4), (2, 4))  # (a1, a2, a3, b1, b2)
+
+
+@st.composite
+def rational_twin_entries(draw):
+    """Rational entries of a chain on the 4-symbol base, denominators at most 64.
+
+    A third of the draws make ``b1`` equal a column-2 entry (a branch-value
+    collision), and a third lie on the degenerate locus ``a2 == a3 * b1``.
+    """
+    kind = draw(st.sampled_from(("free", "collision", "degenerate")))
+    if kind == "degenerate":
+        a3, b1 = Fraction(draw(st.integers(1, 4)), 8), Fraction(draw(st.integers(1, 7)), 8)
+        a2 = a3 * b1
+        a1 = 1 - a2 - a3
+    else:
+        d = draw(st.integers(3, 64))
+        i = draw(st.integers(1, d - 2))
+        j = draw(st.integers(1, d - 1 - i))
+        a1, a2, a3 = Fraction(i, d), Fraction(j, d), Fraction(d - i - j, d)
+        e = draw(st.integers(2, 64))
+        b1 = Fraction(draw(st.integers(1, e - 1)), e)
+        if kind == "collision":
+            b1 = draw(st.sampled_from((a1, a2, a3)))
+    return {(2, 1): 1, (1, 3): 1, **dict(zip(TWIN_EDGES, (a1, a2, a3, b1, 1 - b1)))}
+
+
+class TestComparisonPolicy:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(rational_twin_entries())
+    def test_exact_chain_and_float_copy_agree(self, entries):
+        base = counterexample_matrix()
+        exact = GibbsChain.from_stochastic(base, entries)
+        floating = GibbsChain.from_stochastic(base, {e: float(v) for e, v in entries.items()})
+        assert (repr(exact), repr(floating)) == ("GibbsChain(n=4, exact)", "GibbsChain(n=4, numerical)")
+        assert has_distinct_branch_values(exact) == has_distinct_branch_values(floating)
+        if entries[(3, 2)] == entries[(4, 2)] * entries[(1, 4)]:
+            with pytest.raises(DegenerateError, match=r"^a2 equals a3 \* b1; the twin"):
+                spectral_twin_chain(exact)
+            with pytest.raises(DegenerateError, match=r"^a2 equals a3 \* b1 within tolerance; the twin"):
+                spectral_twin_chain(floating)
+            return
+        match_exact = _branch_value_sets_match(exact, spectral_twin_chain(exact))[0]
+        assert _branch_value_sets_match(floating, spectral_twin_chain(floating))[0] == match_exact
 
 
 class TestSpectralTwin:

@@ -11,6 +11,7 @@ from markovgibbs import (
     GibbsChain,
     Potential,
     PreconditionError,
+    SolverError,
     TransitionMatrix,
     char_poly,
     char_poly_family_equal,
@@ -26,7 +27,7 @@ from markovgibbs import (
     topological_entropy,
 )
 
-from conftest import FIXTURE_VALUES, random_chain, random_primitive_matrix
+from conftest import FIXTURE_VALUES, SINGULAR_NEWTON_LOG_VALUES, random_chain, random_primitive_matrix
 
 
 @pytest.fixture
@@ -151,6 +152,12 @@ class TestSpectrumCurve:
             spectrum_curve(fixture_chain, 1.0, -1.0, 5)
         with pytest.raises(PreconditionError):
             spectrum_curve(fixture_chain, -1.0, 1.0, 1)
+
+    def test_singular_newton_step_is_a_solver_error(self):
+        base = TransitionMatrix([[int(v is not None) for v in row] for row in SINGULAR_NEWTON_LOG_VALUES])
+        chain, _ = normalize(Potential.from_matrix(base, SINGULAR_NEWTON_LOG_VALUES))
+        with pytest.raises(SolverError, match="stack member 0: Newton step failed: Singular matrix"):
+            spectrum_curve(chain, -20.0, 20.0, 41)
 
 
 class TestCharPoly:

@@ -15,6 +15,27 @@ def _small_floats(path):
     ]
 
 
+def _mode_choices(path):
+    """Places that pick or spell a comparison mode: ``.exact is not None`` and bare mode strings."""
+    text = path.read_text()
+    found = [
+        (node.lineno, node.value)
+        for node in ast.walk(ast.parse(text, filename=str(path)))
+        if isinstance(node, ast.Constant) and node.value in ("exact", "numerical")
+    ]
+    return found + [(None, ".exact is not None")] * text.count(".exact is not None")
+
+
+def test_comparison_mode_is_decided_only_in_gibbs():
+    stray = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "gibbs.py" and (found := _mode_choices(path))
+    }
+    assert stray == {}
+    assert _mode_choices(PACKAGE / "gibbs.py")
+
+
 def test_comparison_bounds_live_in_the_tolerances_module():
     stray = {
         path.name: found
