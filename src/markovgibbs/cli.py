@@ -524,14 +524,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         result = args.handler(load_problem(args.input), args)
+        doc, code = result if isinstance(result, tuple) else (result, EXIT_OK)
+        text = _dumps({"command": f"{args.group} {args.command}", **doc})  # a non-finite real is a SolverError
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except SolverError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    doc, code = result if isinstance(result, tuple) else (result, EXIT_OK)
-    sys.stdout.write(_dumps({"command": f"{args.group} {args.command}", **doc}) + "\n")
+    sys.stdout.write(text + "\n")
     return code
 
 

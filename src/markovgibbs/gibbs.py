@@ -15,7 +15,7 @@ import math
 import numbers
 import operator
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -25,8 +25,6 @@ from .errors import PreconditionError, SolverError
 from .shiftcore import (
     TransitionMatrix,
     ShiftStructure,
-    _require_word_limit,
-    _word_rows,
     is_admissible,
     require_primitive,
     simple_cycles,
@@ -263,14 +261,18 @@ class Comparison:
         return EXACT if all(chain.exact is not None for chain in chains) else NUMERICAL
 
     def unmatched(self, xs, ys):
-        """Sorted distinct values of ``xs`` that match none of ``ys``, and the reverse."""
+        """Sorted values of ``xs`` matching none of ``ys``, and the reverse; one per run that ``same`` joins."""
         if self.exact:
             xs, ys = set(xs), set(ys)
             return tuple(sorted(xs - ys)), tuple(sorted(ys - xs))
-        xs, ys = [float(x) for x in xs], [float(y) for y in ys]
-        only_x = {x for x in xs if not any(self.same(x, y) for y in ys)}
-        only_y = {y for y in ys if not any(self.same(y, x) for x in xs)}
-        return tuple(sorted(only_x)), tuple(sorted(only_y))
+        xs, ys = self._distinct(xs), self._distinct(ys)
+        only_x = tuple(x for x in xs if not any(self.same(x, y) for y in ys))
+        only_y = tuple(y for y in ys if not any(self.same(y, x) for x in xs))
+        return only_x, only_y
+
+    def _distinct(self, values) -> list:
+        values = sorted(float(v) for v in values)
+        return [v for k, v in enumerate(values) if k == 0 or not self.same(values[k - 1], v)]
 
 
 EXACT = Comparison(True, "exact", operator.eq)
@@ -380,11 +382,11 @@ class GibbsChain:
 def _stationary(q: np.ndarray) -> np.ndarray:
     """Positive solution of q @ pi == pi with entries summing to 1."""
     n = q.shape[0]
-    system = np.vstack([q - np.eye(n), np.ones((1, n))])
-    rhs = np.zeros(n + 1)
-    rhs[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    pi = pi / pi.sum()
+    pi, *_ = np.linalg.lstsq(np.vstack([q - np.eye(n), np.ones((1, n))]), np.eye(n + 1)[-1], rcond=None)
+    return _checked_stationary(q, pi / pi.sum())
+
+
+def _checked_stationary(q: np.ndarray, pi: np.ndarray) -> np.ndarray:
     if pi.min() <= 0:
         raise SolverError("stationary vector is not strictly positive")
     if np.abs(q @ pi - pi).max() > RESIDUAL_TOL:
@@ -399,16 +401,22 @@ def normalize(potential: Potential):
     ``root**-1 * left[i] * exp(values[i, j]) / left[j]`` on edges.  Columns
     are rescaled to machine-exact stochasticity (the drift is at the
     eigensolver residual scale, well below every comparison tolerance
-    used).  Applying ``normalize`` to the chain's own normalized potential
+    used).  The stationary vector is Parry's ``left * right``.  The solve
+    runs on ``exp(values - max(values))``, so any finite potential works;
+    the root reported is its root times ``exp(max)`` (``0`` or ``inf`` past
+    float range).  Normalizing the chain's own normalized potential
     reproduces the same matrix with root 1 and uniform left eigenvector.
     """
     require_primitive(potential.base)
-    m = weight_matrix(potential)
+    top = max(potential.values.values())
+    m = weight_matrix(Potential(potential.base, {e: v - top for e, v in potential.values.items()}))
     data = perron(m)
     q = (data.left[:, None] * m / data.left[None, :]) / data.root
     q = q / q.sum(axis=0)
-    pi = _stationary(q)
-    return GibbsChain(potential.base, q, pi), data
+    pi = _checked_stationary(q, data.left * data.right)
+    with np.errstate(over="ignore"):
+        root = float(data.root * np.exp(top))
+    return GibbsChain(potential.base, q, pi), replace(data, root=root)
 
 
 def cylinder_measure(chain: GibbsChain, word) -> float:
@@ -437,41 +445,32 @@ def gibbs_ratio_bounds(chain: GibbsChain, potential: Potential, pressure: float,
     the potential along the word's own edges plus one continuation term for
     the final symbol, taken maximal for the lower bound and minimal for the
     upper bound.  Finite positive output certifies the defining Gibbs
-    inequalities at the explored depth.  Raises :class:`PreconditionError`,
-    before building anything, when more than ``WORD_LIMIT`` words of length
-    ``max_len`` are admissible.
+    inequalities at the explored depth.  No word is built: the log ratio sums
+    ``log q - f`` over the word's edges plus terms in its last symbol and
+    length, so one (min, +) and one (max, +) vector-matrix product per length
+    give the extremes by last symbol, in O(n**2 * max_len) time.
     """
     if potential.base != chain.base:
         raise PreconditionError("potential and chain must share the base matrix")
     if max_len < 1:
         raise PreconditionError("max_len must be at least 1")
-    # Every symbol has a successor, so word counts never fall with length.
-    _require_word_limit(chain.base, max_len)
-    n = chain.n
-    fmat = np.zeros((n, n))
+    mask = chain.edge_mask
+    f = np.zeros(mask.shape)
     for (i, j), v in potential.values.items():
-        fmat[i - 1, j - 1] = v
-    cont_min = np.empty(n)
-    cont_max = np.empty(n)
-    for s in range(1, n + 1):
-        succ = chain.base.successors(s)
-        vals = [potential.values[(s, j)] for j in succ]
-        cont_min[s - 1] = min(vals)
-        cont_max[s - 1] = max(vals)
-    lo = math.inf
-    hi = 0.0
+        f[i - 1, j - 1] = v
+    step = np.log(np.where(mask, chain.q, 1.0)) - f
+    low_step, high_step = np.where(mask, step, np.inf), np.where(mask, step, -np.inf)
+    low_tail = np.log(chain.pi) - np.where(mask, f, -np.inf).max(axis=1)
+    high_tail = np.log(chain.pi) - np.where(mask, f, np.inf).min(axis=1)
+    low = high = np.zeros(len(mask))  # extreme edge sums over the words of one length, by last symbol
+    lo, hi = math.inf, -math.inf
     for length in range(1, max_len + 1):
-        rows = _word_rows(chain.base, length)
-        heads = rows[:, :-1] - 1
-        tails = rows[:, 1:] - 1
-        edge_sum = fmat[heads, tails].sum(axis=1)
-        mu = chain.q[heads, tails].prod(axis=1) * chain.pi[rows[:, -1] - 1]
-        last = rows[:, -1] - 1
-        ratio_low = mu / np.exp(-length * pressure + edge_sum + cont_max[last])
-        ratio_high = mu / np.exp(-length * pressure + edge_sum + cont_min[last])
-        lo = min(lo, float(ratio_low.min()))
-        hi = max(hi, float(ratio_high.max()))
-    return lo, hi
+        lo = min(lo, float((low + low_tail).min()) + length * pressure)
+        hi = max(hi, float((high + high_tail).max()) + length * pressure)
+        low = (low[:, None] + low_step).min(axis=0)
+        high = (high[:, None] + high_step).max(axis=0)
+    with np.errstate(over="ignore"):
+        return float(np.exp(lo)), float(np.exp(hi))
 
 
 def ks_entropy(chain: GibbsChain) -> float:

@@ -1,4 +1,8 @@
+import numpy as np
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from markovgibbs import (
     GibbsChain,
@@ -86,3 +90,26 @@ def random_chain_with_distinct_values(rng, matrix):
         ok, _ = has_distinct_branch_values(chain)
         if ok:
             return chain
+
+
+def circulant(n, offsets):
+    entries = np.zeros((n, n), dtype=int)
+    for i in range(n):
+        for offset in offsets:
+            entries[i, (i + offset) % n] = 1
+    return TransitionMatrix(entries)
+
+
+@st.composite
+def primitive_bases(draw, max_n):
+    """Primitive bases on 2 to ``max_n`` symbols: a free zero-one matrix, or,
+    for bases with many symmetries, a circulant."""
+    n = draw(st.integers(2, max_n))
+    if draw(st.booleans()):
+        matrix = circulant(n, draw(st.sets(st.integers(0, n - 1), min_size=2)))
+    else:
+        entries = draw(hnp.arrays(np.int64, (n, n), elements=st.integers(0, 1)))
+        assume(entries.sum(axis=0).all() and entries.sum(axis=1).all())
+        matrix = TransitionMatrix(entries)
+    assume(is_primitive(matrix))
+    return matrix

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -324,6 +325,20 @@ class TestRigidityCommands:
         assert doc["tool_version"]
         assert len(doc["input_digest"]) == 64
 
+    def test_certificate_lists_a_repeated_value_once(self, capsys, tmp_path):
+        # 1/26 sits in columns 2 and 4; read as floats, the two copies differ in the last bit
+        q = {(1, 2): Fraction(1, 13), (3, 2): Fraction(23, 26), (4, 2): Fraction(1, 26), (1, 4): Fraction(1, 26),
+             (2, 4): Fraction(25, 26), (2, 1): Fraction(1), (1, 3): Fraction(1)}
+        q_grid = [[None if (i, j) not in q else str(q[(i, j)]) for j in range(1, 5)] for i in range(1, 5)]
+        log_grid = [[None if (i, j) not in q else math.log(q[(i, j)]) for j in range(1, 5)] for i in range(1, 5)]
+        for kind, grid in (("q_matrix", q_grid), ("log_values", log_grid)):
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps({"matrix": FOUR_MATRIX, "potential": {kind: grid}}))
+            code, doc, _ = run(capsys, "rigidity", "certificate", "--input", str(path))
+            assert code == 0
+            sets = doc["value_sets"]
+            assert (len(sets["missing_from_g"]), len(sets["missing_from_f"])) == (3, 4)
+
     def test_degenerate_certificate_exits_2(self, capsys, tmp_path):
         q = [
             [None, "3/10", "1", "2/5"],
@@ -368,6 +383,70 @@ class TestExitCodes:
         code, _, err = run(capsys, "gibbs", "measure", "--input", exact_file, "--word", "195")
         assert code == 2
         assert "1..4" in err
+
+
+def shifted_file(tmp_path, name, grid, shift):
+    shifted = [[None if v is None else v + shift for v in row] for row in grid]
+    path = tmp_path / name
+    path.write_text(json.dumps({"matrix": FOUR_MATRIX, "potential": {"log_values": shifted}}))
+    return shifted, str(path)
+
+
+def assert_close(doc, expected):
+    """Equal documents, with reals within 1e-12."""
+    if isinstance(expected, dict):
+        assert doc.keys() == expected.keys()
+        for key in expected:
+            assert_close(doc[key], expected[key])
+    elif isinstance(expected, list):
+        assert len(doc) == len(expected)
+        for item, other in zip(doc, expected):
+            assert_close(item, other)
+    elif isinstance(expected, float):
+        assert doc == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    else:
+        assert doc == expected
+
+
+class TestLargePotentials:
+    """Values near +-800, whose exponentials overflow or underflow, describe ordinary chains."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["gibbs", "measure", "--word", "132"],
+            ["gibbs", "entropy"],
+            ["spectrum", "curve"],
+            ["rigidity", "check-g"],
+            ["rigidity", "certificate"],
+            ["rigidity", "counterexample"],
+        ],
+        ids=lambda command: "-".join(command[:2]),
+    )
+    def test_large_values_match_the_shifted_back_file(self, capsys, tmp_path, command):
+        high, high_path = shifted_file(tmp_path, "high.json", log_values_grid(), 800.0)
+        _, back_path = shifted_file(tmp_path, "back.json", high, -800.0)
+        code, doc, err = run(capsys, *command, "--input", high_path)
+        assert (code, err) == (0, "")
+        _, expected, _ = run(capsys, *command, "--input", back_path)
+        for d in (doc, expected):
+            d.pop("input_digest", None)
+        assert_close(doc, expected)
+
+    def test_normalize_root_beyond_float_range_exits_3(self, capsys, tmp_path):
+        _, path = shifted_file(tmp_path, "high.json", log_values_grid(), 800.0)
+        code, doc, err = run(capsys, "gibbs", "normalize", "--input", path)
+        assert (code, doc) == (3, None)
+        assert err == "numerical failure: refusing to serialize a non-finite number\n"
+
+    def test_normalize_small_values(self, capsys, tmp_path, log_file):
+        _, path = shifted_file(tmp_path, "low.json", log_values_grid(), -800.0)
+        code, doc, err = run(capsys, "gibbs", "normalize", "--input", path)
+        assert (code, err) == (0, "")
+        _, expected, _ = run(capsys, "gibbs", "normalize", "--input", log_file)
+        assert_close(doc["stochastic_matrix"], expected["stochastic_matrix"])
+        assert_close(doc["stationary"], expected["stationary"])
+        assert doc["perron_root"] == 0.0  # exp(-800) underflows
 
 
 class TestDeterminism:

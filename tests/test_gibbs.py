@@ -25,15 +25,20 @@ from markovgibbs import (
     structure,
     weight_matrix,
 )
-from markovgibbs.gibbs import EXACT, NUMERICAL, Comparison, _linalg
+from markovgibbs.gibbs import EXACT, NUMERICAL, Comparison, _linalg, _stationary
 from markovgibbs.shiftcore import _word_rows
 
+import reference
 from conftest import (
     FIXTURE_VALUES,
+    primitive_bases,
     random_chain,
     random_potential,
     random_primitive_matrix,
 )
+
+# Words, all lengths together, that the word-enumerating reference ratio bounds may visit per example.
+RATIO_WORD_BUDGET = 10_000
 
 
 @st.composite
@@ -49,6 +54,26 @@ def primitive_stacks(draw):
     edges[:, 0, 0] = True
     logs = draw(hnp.arrays(float, (k, n, n), elements=st.floats(-4.0, 4.0)))
     return np.where(edges, np.exp(logs), 0.0)
+
+
+@st.composite
+def ratio_cases(draw):
+    """A potential from U[-4, 4] on a primitive base of 2 to 6 symbols, a depth and a pressure.
+
+    The depth runs from 1 to 7, or to the last length that keeps the word
+    count within ``RATIO_WORD_BUDGET``.  A pressure of None stands for the
+    chain's own, the log of the Perron root.
+    """
+    matrix = draw(primitive_bases(max_n=6))
+    values = draw(st.lists(st.floats(-4.0, 4.0), min_size=len(matrix.edges), max_size=len(matrix.edges)))
+    counts = np.cumsum([np.linalg.matrix_power(matrix.entries, k).sum() for k in range(7)])
+    max_len = draw(st.integers(1, int((counts <= RATIO_WORD_BUDGET).sum())))
+    pressure = draw(st.one_of(st.none(), st.floats(-3.0, 3.0)))
+    return Potential(matrix, dict(zip(matrix.edges, values))), max_len, pressure
+
+
+def random_wide_potential(rng, matrix):
+    return Potential(matrix, {e: rng.uniform(-4.0, 4.0) for e in matrix.edges})
 
 
 class TestPotential:
@@ -229,6 +254,31 @@ class TestNormalize:
         chain_b, _ = normalize(shifted)
         assert np.abs(chain_a.q - chain_b.q).max() < 1e-12
 
+    @pytest.mark.parametrize("shift", [800.0, -800.0, 50.0, -50.0])
+    def test_constant_shift_of_any_size(self, four_matrix, shift):
+        # exp(800) overflows and exp(-800) underflows, yet both potentials have an ordinary chain
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            pot = random_wide_potential(rng, four_matrix)
+            chain, data = normalize(pot)
+            shifted, shifted_data = normalize(Potential(four_matrix, {e: v + shift for e, v in pot.values.items()}))
+            assert np.abs(shifted.q - chain.q).max() <= 1e-12
+            assert np.abs(shifted_data.left - data.left).max() <= 1e-12
+            expected = math.inf if shift > 709 else data.root * math.exp(shift)  # 0.0 at -800
+            assert shifted_data.root == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_stationary_vector_is_left_times_right(self):
+        rng = np.random.default_rng(13)
+        for n in (4, 6, 8, 12, 16):
+            for _ in range(40):
+                chain, data = normalize(random_wide_potential(rng, random_primitive_matrix(rng, n)))
+                pi = chain.pi
+                assert pi.min() > 0
+                assert abs(pi.sum() - 1.0) <= 1e-15
+                assert np.abs(chain.q @ pi - pi).max() <= 1e-15
+                assert np.abs(pi - _stationary(chain.q)).max() <= 1e-14
+                assert np.array_equal(pi, data.left * data.right)
+
     def test_idempotent_on_normalized_potential(self, fixture_chain):
         chain, data = normalize(fixture_chain.normalized_potential())
         assert data.root == pytest.approx(1.0, abs=1e-12)
@@ -327,6 +377,12 @@ class TestComparison:
         assert NUMERICAL.unmatched(xs, [0.2 * (1 + 1e-12), 0.5]) == ((0.3,), (0.5,))
         assert NUMERICAL.unmatched([0.2, 0.2], [0.2]) == ((), ())
 
+    def test_numerical_unmatched_lists_each_value_once(self):
+        # 1/26 read from two columns with slightly different sums
+        near = [0.03846153846153845, 0.03846153846153846]
+        assert NUMERICAL.unmatched(near + [0.5, 0.5], [0.25]) == ((near[0], 0.5), (0.25,))
+        assert NUMERICAL.unmatched([0.25], near) == ((0.25,), (near[0],))
+
 
 class TestCylinderMeasure:
     def test_uniform_full_shift(self, full2):
@@ -390,16 +446,30 @@ class TestGibbsRatio:
         assert abs(lo10 - lo4) <= 0.1 * lo4
         assert abs(hi10 - hi4) <= 0.1 * hi4
 
-    def test_word_limit_refuses_before_building(self):
+    def test_full_six_shift_builds_no_word(self):
         # the full 6-shift has 6**10 words of length 10, about 4.8 GB as int64
         full6 = TransitionMatrix(np.ones((6, 6), dtype=int))
         pot = Potential.constant(full6, 0.0)
         chain, data = normalize(pot)
-        start = time.perf_counter()
-        with pytest.raises(PreconditionError, match=f"{6**10} admissible words of length 10"):
-            gibbs_ratio_bounds(chain, pot, math.log(data.root))
-        assert time.perf_counter() - start < 0.5
+        for max_len in (10, 200):
+            start = time.perf_counter()
+            lo, hi = gibbs_ratio_bounds(chain, pot, math.log(data.root), max_len)
+            assert time.perf_counter() - start < 0.5
+            assert lo == pytest.approx(1.0, abs=1e-12)
+            assert hi == pytest.approx(1.0, abs=1e-12)
         assert chain.base._words == {}
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(ratio_cases())
+    def test_matches_word_enumeration(self, case):
+        potential, max_len, pressure = case
+        chain, data = normalize(potential)
+        if pressure is None:
+            pressure = math.log(data.root)
+        expected = reference.gibbs_ratio_bounds(
+            potential.base.entries, chain.q, chain.pi, potential.values, pressure, max_len
+        )
+        assert gibbs_ratio_bounds(chain, potential, pressure, max_len) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestKsEntropy:

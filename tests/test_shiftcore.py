@@ -3,9 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
+from hypothesis import given, settings
 
 from markovgibbs import (
     AutomorphismResult,
@@ -23,30 +21,7 @@ from markovgibbs import (
 )
 from markovgibbs.shiftcore import WORD_LIMIT, _word_count
 
-from conftest import random_primitive_matrix
-
-
-def _circulant(n, offsets):
-    entries = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        for offset in offsets:
-            entries[i, (i + offset) % n] = 1
-    return TransitionMatrix(entries)
-
-
-@st.composite
-def primitive_bases(draw, max_n):
-    """Primitive bases on 2 to ``max_n`` symbols: a free zero-one matrix, or,
-    for bases with many symmetries, a circulant."""
-    n = draw(st.integers(2, max_n))
-    if draw(st.booleans()):
-        matrix = _circulant(n, draw(st.sets(st.integers(0, n - 1), min_size=2)))
-    else:
-        entries = draw(hnp.arrays(np.int64, (n, n), elements=st.integers(0, 1)))
-        assume(entries.sum(axis=0).all() and entries.sum(axis=1).all())
-        matrix = TransitionMatrix(entries)
-    assume(is_primitive(matrix))
-    return matrix
+from conftest import circulant, primitive_bases, random_primitive_matrix
 
 
 def _brute_force_automorphisms(matrix):
@@ -319,7 +294,7 @@ class TestAutomorphisms:
         assert automorphisms(matrix) == _brute_force_automorphisms(matrix)
 
     def test_nine_symbol_circulant_is_fast(self):
-        matrix = _circulant(9, (0, 1, 3))
+        matrix = circulant(9, (0, 1, 3))
         is_primitive(matrix)
         start = time.perf_counter()
         result = automorphisms(matrix)

@@ -44,3 +44,26 @@ def test_comparison_bounds_live_in_the_tolerances_module():
     }
     assert stray == {}
     assert _small_floats(PACKAGE / "tolerances.py")
+
+
+
+def _gibbs_tree():
+    return ast.parse((PACKAGE / "gibbs.py").read_text())
+
+
+def test_gibbs_builds_no_word_table():
+    imported = {alias.name for node in ast.walk(_gibbs_tree()) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported & {"_word_rows", "_require_word_limit", "admissible_words", "WORD_LIMIT"} == set()
+
+
+def test_normalize_makes_no_second_stationary_solve():
+    normalize = next(
+        node for node in ast.walk(_gibbs_tree()) if isinstance(node, ast.FunctionDef) and node.name == "normalize"
+    )
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        for node in ast.walk(normalize)
+        if isinstance(node, ast.Call)
+    }
+    assert "perron" in called
+    assert called & {"_stationary", "lstsq"} == set()
