@@ -10,6 +10,7 @@ the rotation starting at its smallest symbol.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -36,14 +37,33 @@ __all__ = [
 WORD_LIMIT = 1_000_000
 
 
+def _memoized(fn):
+    """Compute ``fn(matrix, *args)`` once per matrix and argument tuple, keeping
+    it in ``matrix._memo`` for the matrix's life; a raising call stores nothing."""
+
+    @wraps(fn)
+    def cached(matrix, *args):
+        key = (fn, *args) if args else fn
+        try:
+            return matrix._memo[key]
+        except KeyError:
+            pass
+        value = matrix._memo[key] = fn(matrix, *args)
+        return value
+
+    return cached
+
+
 class TransitionMatrix:
     """A zero-one transition matrix with every row and column occupied.
 
     The matrix is immutable after construction, so everything derived from
-    it alone is computed at most once per instance and cached lazily on it:
-    the edge list, the successor and predecessor tables, primitivity, the
-    in-degree structure, the simple cycles, the automorphism result, the
-    topological entropy and the word tables of each length built so far.
+    it alone is computed at most once per instance.  The edge list and the
+    successor and predecessor tables are cached properties.  Primitivity,
+    the in-degree structure, the simple cycles, the automorphism result,
+    the topological entropy, and the word counts and word tables of each
+    length live in one memo, ``_memo``: an entry is kept for the matrix's
+    life, and a raising call stores nothing.
     """
 
     def __init__(self, entries):
@@ -59,15 +79,7 @@ class TransitionMatrix:
         a.setflags(write=False)
         self.entries = a
         self.n = int(a.shape[0])
-        self._primitive = None
-        self._structure = None
-        self._entropy = None
-        self._edges = None
-        self._succ = None
-        self._pred = None
-        self._cycles = None
-        self._automorphisms = None
-        self._words = {}
+        self._memo = {}
 
     def __eq__(self, other):
         if other is self:
@@ -86,28 +98,24 @@ class TransitionMatrix:
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.entries[i - 1, j - 1])
 
-    @property
+    @cached_property
     def edges(self) -> tuple:
         """All edges ``(i, j)`` in lexicographic order."""
-        if self._edges is None:
-            rows, cols = np.nonzero(self.entries)
-            self._edges = tuple((int(i) + 1, int(j) + 1) for i, j in zip(rows, cols))
-        return self._edges
+        rows, cols = np.nonzero(self.entries)
+        return tuple((int(i) + 1, int(j) + 1) for i, j in zip(rows, cols))
+
+    @cached_property
+    def _succ(self) -> tuple:
+        return tuple(tuple(int(j) + 1 for j in np.nonzero(row)[0]) for row in self.entries)
+
+    @cached_property
+    def _pred(self) -> tuple:
+        return tuple(tuple(int(i) + 1 for i in np.nonzero(col)[0]) for col in self.entries.T)
 
     def successors(self, i: int) -> tuple:
-        if self._succ is None:
-            self._succ = tuple(
-                tuple(int(j) + 1 for j in np.nonzero(self.entries[k])[0])
-                for k in range(self.n)
-            )
         return self._succ[i - 1]
 
     def predecessors(self, j: int) -> tuple:
-        if self._pred is None:
-            self._pred = tuple(
-                tuple(int(i) + 1 for i in np.nonzero(self.entries[:, k])[0])
-                for k in range(self.n)
-            )
         return self._pred[j - 1]
 
 
@@ -146,24 +154,20 @@ class AutomorphismResult:
         return self.status == "trivial"
 
 
+@_memoized
 def is_primitive(matrix: TransitionMatrix) -> bool:
     """Whether some power of the matrix is entrywise positive.
 
     Checks boolean powers up to the sharp exponent bound
     ``n**2 - 2*n + 2``; all arithmetic is exact integer work.
     """
-    if matrix._primitive is None:
-        m = matrix.entries
-        power = m
-        bound = matrix.n * matrix.n - 2 * matrix.n + 2
-        result = False
-        for _ in range(bound):
-            if power.min() > 0:
-                result = True
-                break
-            power = np.minimum(power @ m, 1)
-        matrix._primitive = result
-    return matrix._primitive
+    m = matrix.entries
+    power = m
+    for _ in range(matrix.n * matrix.n - 2 * matrix.n + 2):
+        if power.min() > 0:
+            return True
+        power = np.minimum(power @ m, 1)
+    return False
 
 
 def require_primitive(matrix: TransitionMatrix) -> None:
@@ -171,16 +175,15 @@ def require_primitive(matrix: TransitionMatrix) -> None:
         raise PreconditionError("transition matrix is not primitive")
 
 
+@_memoized
 def structure(matrix: TransitionMatrix) -> ShiftStructure:
     """In-degrees, branch symbols, and branch edges of a primitive matrix."""
     require_primitive(matrix)
-    if matrix._structure is None:
-        degrees = tuple(int(d) for d in matrix.entries.sum(axis=0))
-        branch = frozenset(j + 1 for j, d in enumerate(degrees) if d >= 2)
-        edges = matrix.edges
-        branch_edges = frozenset(e for e in edges if e[1] in branch)
-        matrix._structure = ShiftStructure(degrees, branch, branch_edges, edges)
-    return matrix._structure
+    degrees = tuple(int(d) for d in matrix.entries.sum(axis=0))
+    branch = frozenset(j + 1 for j, d in enumerate(degrees) if d >= 2)
+    edges = matrix.edges
+    branch_edges = frozenset(e for e in edges if e[1] in branch)
+    return ShiftStructure(degrees, branch, branch_edges, edges)
 
 
 def is_admissible(matrix: TransitionMatrix, word) -> bool:
@@ -195,28 +198,27 @@ def is_admissible(matrix: TransitionMatrix, word) -> bool:
     return all(matrix.entries[i - 1, j - 1] == 1 for i, j in zip(w, w[1:]))
 
 
+@_memoized
 def _word_rows(matrix: TransitionMatrix, length: int) -> np.ndarray:
     """Admissible words of a given length as a lexicographically sorted
     integer array of shape (count, length)."""
-    cached = matrix._words.get(length)
-    if cached is not None:
-        return cached
     if length == 0:
         rows = np.zeros((1, 0), dtype=np.int64)
     elif length == 1:
         rows = np.arange(1, matrix.n + 1, dtype=np.int64)[:, None]
     else:
-        prev = _word_rows(matrix, length - 1)
+        for shorter in range(1, length):  # shortest first, so no call recurses deeper than one level
+            prev = _word_rows(matrix, shorter)
         succ = [np.asarray(matrix.successors(s), dtype=np.int64) for s in range(1, matrix.n + 1)]
         counts = np.array([len(succ[s - 1]) for s in prev[:, -1]])
         repeat = np.repeat(np.arange(len(prev)), counts)
         tails = np.concatenate([succ[s - 1] for s in prev[:, -1]])
         rows = np.hstack([prev[repeat], tails[:, None]])
     rows.setflags(write=False)
-    matrix._words[length] = rows
     return rows
 
 
+@_memoized
 def _word_count(matrix: TransitionMatrix, length: int) -> int:
     """Exact number of admissible words of the given length.
 
@@ -234,9 +236,7 @@ def _word_count(matrix: TransitionMatrix, length: int) -> int:
 
 def _require_word_limit(matrix: TransitionMatrix, length: int) -> None:
     """Raise :class:`PreconditionError` if more than ``WORD_LIMIT`` words
-    of the given length are admissible and not built yet."""
-    if length in matrix._words:
-        return
+    of the given length are admissible."""
     count = _word_count(matrix, length)
     if count > WORD_LIMIT:
         raise PreconditionError(
@@ -257,6 +257,7 @@ def admissible_words(matrix: TransitionMatrix, length: int) -> list:
     return [tuple(int(s) for s in row) for row in _word_rows(matrix, length)]
 
 
+@_memoized
 def simple_cycles(matrix: TransitionMatrix) -> tuple:
     """All simple cycles up to rotation, each starting at its smallest symbol.
 
@@ -267,8 +268,6 @@ def simple_cycles(matrix: TransitionMatrix) -> tuple:
     exactly once.
     """
     require_primitive(matrix)
-    if matrix._cycles is not None:
-        return matrix._cycles
     found = []
     for start in range(1, matrix.n + 1):
         path = [start]
@@ -288,8 +287,7 @@ def simple_cycles(matrix: TransitionMatrix) -> tuple:
             if not pushed:
                 stack.pop()
                 on_path.discard(path.pop())
-    matrix._cycles = tuple(sorted(found))
-    return matrix._cycles
+    return tuple(sorted(found))
 
 
 def cycle_intersection_condition(matrix: TransitionMatrix):
@@ -377,6 +375,7 @@ def _graph_automorphisms(matrix: TransitionMatrix) -> list:
     return found
 
 
+@_memoized
 def automorphisms(matrix: TransitionMatrix) -> AutomorphismResult:
     """Search for symbol permutations preserving the matrix.
 
@@ -390,13 +389,10 @@ def automorphisms(matrix: TransitionMatrix) -> AutomorphismResult:
     question for the shift.
     """
     require_primitive(matrix)
-    if matrix._automorphisms is not None:
-        return matrix._automorphisms
     if matrix.n > 10:
         raise PreconditionError("automorphism search is limited to 10 symbols")
     perms = _graph_automorphisms(matrix)
     reduced, _ = total_amalgamation(matrix)
     amalgamation_fixed = reduced.n == matrix.n
     status = "trivial" if (amalgamation_fixed and len(perms) == 1) else "inconclusive"
-    matrix._automorphisms = AutomorphismResult(status, tuple(perms))
-    return matrix._automorphisms
+    return AutomorphismResult(status, tuple(perms))

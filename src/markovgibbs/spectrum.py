@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import PreconditionError, SolverError
 from .gibbs import Comparison, GibbsChain, perron
-from .shiftcore import TransitionMatrix, simple_cycles
+from .shiftcore import TransitionMatrix, _memoized, simple_cycles
 from .tolerances import CHAR_POLY_TOL, DIAGONAL_TOL, SPECTRUM_TOL
 
 __all__ = [
@@ -38,11 +38,10 @@ __all__ = [
 DEFAULT_Q_GRID = tuple(np.linspace(-3.0, 3.0, 25))
 
 
+@_memoized
 def topological_entropy(matrix: TransitionMatrix) -> float:
     """Log of the Perron root of the zero-one matrix, cached on the matrix."""
-    if matrix._entropy is None:
-        matrix._entropy = math.log(perron(matrix.entries).root)
-    return matrix._entropy
+    return math.log(perron(matrix.entries).root)
 
 
 def q_power(chain: GibbsChain, q: float) -> np.ndarray:
@@ -225,22 +224,26 @@ def char_poly_family_equal(chain_a: GibbsChain, chain_b: GibbsChain, q_grid=None
     [-3, 3]) coefficientwise, with differences measured relative to the
     largest coefficient magnitude at that grid point, against ``tol``; the
     result is then a high-confidence numerical statement rather than a proof.
-    A tolerance that is negative or not finite raises
-    :class:`PreconditionError` in both modes: ``nan`` or a negative value
-    would call every pair unequal, and ``inf`` every pair equal.
+    A negative or non-finite tolerance and an empty or non-finite grid raise
+    :class:`PreconditionError` in both modes, and a grid point with
+    non-finite coefficients raises :class:`SolverError`.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise PreconditionError(f"tolerance must be finite and non-negative, got {tol}")
+    grid = DEFAULT_Q_GRID if q_grid is None else tuple(float(q) for q in q_grid)
+    if not (grid and all(map(math.isfinite, grid))):
+        raise PreconditionError(f"q grid must be non-empty and finite, got {list(grid)}")
     if chain_a.n != chain_b.n:
         raise PreconditionError("chains must share the alphabet size")
     exact = Comparison.of(chain_a, chain_b).exact
     if exact and _signed_cycle_profile(chain_a) == _signed_cycle_profile(chain_b):
         return True, 0.0
-    grid = DEFAULT_Q_GRID if q_grid is None else tuple(float(q) for q in q_grid)
     deviation = 0.0
     for q in grid:
         pa = np.array(char_poly(q_power(chain_a, q)), dtype=float)
         pb = np.array(char_poly(q_power(chain_b, q)), dtype=float)
+        if not (np.isfinite(pa).all() and np.isfinite(pb).all()):
+            raise SolverError(f"characteristic polynomial coefficients at q = {q} are not finite")
         scale = max(1.0, float(np.abs(pa).max()), float(np.abs(pb).max()))
         deviation = max(deviation, float(np.abs(pa - pb).max()) / scale)
     return not exact and deviation <= tol, deviation

@@ -92,6 +92,11 @@ def random_chain_with_distinct_values(rng, matrix):
             return chain
 
 
+def no_word_table(matrix, length):
+    """Stands in for ``shiftcore._word_rows`` where no word table may be built."""
+    raise AssertionError(f"a word table of length {length} was built")
+
+
 def circulant(n, offsets):
     entries = np.zeros((n, n), dtype=int)
     for i in range(n):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from markovgibbs import TransitionMatrix, cli, rigidity
+from markovgibbs import TransitionMatrix, cli, rigidity, shiftcore
 from markovgibbs.cli import main
 
 from conftest import SINGULAR_NEWTON_LOG_VALUES
@@ -471,6 +471,20 @@ class TestDeterminism:
         )
         cold = TransitionMatrix(rigidity.counterexample_matrix().entries)
         monkeypatch.setattr(rigidity, "_COUNTEREXAMPLE", cold)
+        # work on the shared base: the automorphism search, and the successor
+        # reads of the cycle search and the word tables
+        work = []
+
+        def on_cold(label, fn):
+            def spy(matrix, *args):
+                if matrix is cold:
+                    work.append(label)
+                return fn(matrix, *args)
+
+            return spy
+
+        monkeypatch.setattr(shiftcore, "_graph_automorphisms", on_cold("automorphisms", shiftcore._graph_automorphisms))
+        monkeypatch.setattr(TransitionMatrix, "successors", on_cold("successors", TransitionMatrix.successors))
         runs = []
         for _ in range(2):
             outputs = []
@@ -478,7 +492,10 @@ class TestDeterminism:
                 assert main(argv) == 0
                 outputs.append(capsys.readouterr().out)
             runs.append(outputs)
-            assert cold._automorphisms is not None and cold._cycles is not None
+            if len(runs) == 1:
+                cold_work = list(work)
+        assert sorted(set(cold_work)) == ["automorphisms", "successors"]
+        assert work == cold_work
         assert runs[0] == runs[1]
 
     def test_documents_reparse(self, capsys, exact_file, matrix_only_file):

@@ -420,6 +420,46 @@ class TestConjugacyMatchesReference:
             assert _outcome(induce_conjugacy, chain_a, chain_b) == _outcome(_reference_conjugacy, chain_a, chain_b)
 
 
+# (source base, source entries, target base, target entries, expected detail) on
+# three symbols, for the two obstructions that the drawn pairs above never reach
+OBSTRUCTION_CASES = {
+    "reverse_code": (
+        [[0, 0, 1], [1, 0, 1], [1, 1, 0]],
+        {(2, 1): Fraction(2, 5), (3, 1): Fraction(3, 5), (3, 2): 1, (1, 3): Fraction(7, 10), (2, 3): Fraction(3, 10)},
+        [[0, 1, 0], [1, 0, 1], [1, 0, 1]],
+        {(1, 2): 1, (2, 1): Fraction(3, 10), (3, 1): Fraction(7, 10), (2, 3): Fraction(2, 5), (3, 3): Fraction(3, 5)},
+        "no consistent reverse code exists",
+    ),
+    "source_round_trip": (
+        [[1, 1, 0], [1, 1, 1], [1, 1, 0]],
+        {
+            (1, 1): Fraction(1, 2), (2, 1): Fraction(1, 5), (3, 1): Fraction(3, 10),
+            (1, 2): Fraction(1, 7), (2, 2): Fraction(2, 7), (3, 2): Fraction(4, 7), (2, 3): 1,
+        },
+        [[1, 0, 1], [1, 0, 1], [1, 1, 1]],
+        {
+            (1, 1): Fraction(1, 2), (2, 1): Fraction(3, 10), (3, 1): Fraction(1, 5), (3, 2): 1,
+            (1, 3): Fraction(2, 7), (2, 3): Fraction(4, 7), (3, 3): Fraction(1, 7),
+        },
+        "round trip fails on the source side",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OBSTRUCTION_CASES))
+@pytest.mark.parametrize("convert", [Fraction, float], ids=["exact", "float"])
+def test_obstruction_reached_and_matches_reference(case, convert):
+    rows_a, entries_a, rows_b, entries_b, detail = OBSTRUCTION_CASES[case]
+    chain_a, chain_b = (
+        GibbsChain.from_stochastic(TransitionMatrix(rows), {e: convert(v) for e, v in entries.items()})
+        for rows, entries in ((rows_a, entries_a), (rows_b, entries_b))
+    )
+    result = induce_conjugacy(chain_a, chain_b)
+    assert isinstance(result, ConjugacyObstruction)
+    assert (result.kind, result.detail) == ("not_invertible", detail)
+    assert _outcome(induce_conjugacy, chain_a, chain_b) == _outcome(_reference_conjugacy, chain_a, chain_b)
+
+
 TWIN_EDGES = ((1, 2), (3, 2), (4, 2), (1, 4), (2, 4))  # (a1, a2, a3, b1, b2)
 
 

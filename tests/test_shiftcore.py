@@ -19,9 +19,10 @@ from markovgibbs import (
     structure,
     total_amalgamation,
 )
+from markovgibbs import shiftcore
 from markovgibbs.shiftcore import WORD_LIMIT, _word_count
 
-from conftest import circulant, primitive_bases, random_primitive_matrix
+from conftest import circulant, no_word_table, primitive_bases, random_primitive_matrix
 
 
 def _brute_force_automorphisms(matrix):
@@ -145,15 +146,21 @@ class TestAdmissibleWords:
             for length in range(0, 7):
                 assert _word_count(matrix, length) == len(admissible_words(matrix, length))
 
-    def test_word_limit_refuses_before_building(self, full2):
+    def test_word_limit_refuses_before_building(self, full2, monkeypatch):
         # 2**19 words of length 19 are within the limit, 2**20 are not
         assert _word_count(full2, 19) == 2**19 <= WORD_LIMIT < 2**20
+        monkeypatch.setattr(shiftcore, "_word_rows", no_word_table)
         with pytest.raises(PreconditionError, match=f"{2**20} admissible words of length 20"):
             admissible_words(full2, 20)
-        assert 20 not in full2._words
         # the count is exact in Python integers far past int64
         with pytest.raises(PreconditionError, match=str(2**200)):
             admissible_words(full2, 200)
+
+    def test_long_words_need_no_deep_recursion(self):
+        # one word of each length on the one-symbol shift; lengths past the
+        # interpreter's recursion limit are built shortest first
+        length = 1200
+        assert admissible_words(TransitionMatrix([[1]]), length) == [(1,) * length]
 
     def test_admissibility_cases(self, golden_mean):
         assert is_admissible(golden_mean, ())
@@ -322,6 +329,38 @@ class TestCachedData:
             result = automorphisms(matrix)
             assert automorphisms(matrix) is result
             assert automorphisms(TransitionMatrix(matrix.entries)) == result
+
+    def _count_searches(self, monkeypatch):
+        searched = []
+        search = shiftcore._graph_automorphisms
+        monkeypatch.setattr(shiftcore, "_graph_automorphisms", lambda m: searched.append(m) or search(m))
+        return searched
+
+    def test_second_call_does_no_work(self, monkeypatch):
+        searched = self._count_searches(monkeypatch)
+        matrix = circulant(6, (0, 1, 3))
+        first = automorphisms(matrix)
+        assert automorphisms(matrix) is first
+        assert searched == [matrix]
+        words = shiftcore._word_rows(matrix, 4)
+        assert shiftcore._word_rows(matrix, 4) is words
+
+    def test_equal_matrices_do_not_share_a_memo(self, monkeypatch):
+        searched = self._count_searches(monkeypatch)
+        first, second = TransitionMatrix(np.ones((3, 3), dtype=int)), TransitionMatrix(np.ones((3, 3), dtype=int))
+        assert first == second and first is not second
+        assert automorphisms(first) == automorphisms(second)
+        assert automorphisms(first) is not automorphisms(second)
+        assert searched == [first, second]
+
+    def test_raising_call_stores_nothing(self):
+        big = TransitionMatrix(np.ones((11, 11), dtype=int))
+        swap = TransitionMatrix([[0, 1], [1, 0]])
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="limited to 10 symbols"):
+                automorphisms(big)
+            with pytest.raises(PreconditionError, match="not primitive"):
+                simple_cycles(swap)
 
     def test_counterexample_matrix_is_one_read_only_instance(self):
         shared = counterexample_matrix()

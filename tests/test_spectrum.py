@@ -234,6 +234,27 @@ class TestCharPolyFamilyEqual:
             with pytest.raises(PreconditionError, match="finite and non-negative"):
                 char_poly_family_equal(chain, chain, tol=tol)
 
+    @pytest.fixture
+    def unequal_pair(self, fixture_chain, four_matrix):
+        uniform, _ = normalize(Potential.constant(four_matrix, 0.0))
+        equal, deviation = char_poly_family_equal(fixture_chain, uniform)
+        assert not equal and deviation > 0.5
+        return fixture_chain, uniform
+
+    def test_rejects_empty_grid(self, unequal_pair):
+        with pytest.raises(PreconditionError, match="non-empty and finite"):
+            char_poly_family_equal(*unequal_pair, q_grid=[])
+
+    def test_rejects_nan_grid_point(self, unequal_pair):
+        with pytest.raises(PreconditionError, match="non-empty and finite"):
+            char_poly_family_equal(*unequal_pair, q_grid=[math.nan])
+
+    def test_overflowing_grid_point_raises(self, unequal_pair):
+        # the powers of entries below 1 overflow at q = -800
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError, match="q = -800.0"):
+                char_poly_family_equal(*unequal_pair, q_grid=[-800.0])
+
     def test_zero_tolerance_is_valid(self, fixture_chain):
         assert char_poly_family_equal(fixture_chain, fixture_chain, tol=0.0) == (True, 0.0)
 

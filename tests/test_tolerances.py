@@ -67,3 +67,35 @@ def test_normalize_makes_no_second_stationary_solve():
     }
     assert "perron" in called
     assert called & {"_stationary", "lstsq"} == set()
+
+
+def _private_reads_off_self(path):
+    """``x._name`` attribute reads and writes in a module, with ``x`` other than ``self``."""
+    return [
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+
+
+def test_only_shiftcore_touches_private_matrix_state():
+    # TransitionMatrix is defined in shiftcore alone, so elsewhere ``self`` is
+    # never a matrix: every private attribute taken off ``self`` is safe, and
+    # any other would reach into an object's state from outside its module
+    defined = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "TransitionMatrix"
+    }
+    assert defined == {"shiftcore.py"}
+    stray = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "shiftcore.py" and (found := _private_reads_off_self(path))
+    }
+    assert stray == {}
+    assert "_memo" in {attr for _, attr in _private_reads_off_self(PACKAGE / "shiftcore.py")}
